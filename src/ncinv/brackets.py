@@ -8,13 +8,15 @@ orientation.  Expressions keep exact Fraction coefficients on sign-stripped
 canonical monomials.
 
 Rewriting replaces a crossing chord pair by the disjoint plus the nested
-resolution; the total crossing count drops in every branch, which is asserted
-at each step and makes termination a runtime-checked invariant.
+resolution; the total crossing count drops in every branch, which is checked
+at each step (also under ``python -O``) and makes termination a
+runtime-checked invariant.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,7 +79,7 @@ class BracketMonomial:
         object.__setattr__(self, "chords", chords)
         n = self.m * self.d
         support = sorted(x for pair in chords for x in pair)
-        if support != list(range(1, n + 1)):
+        if len(support) != n or support != list(range(1, n + 1)):
             raise ValueError(f"chords do not form a perfect matching of 1..{n}")
         for p, q in chords:
             if p == q or _interval(p, self.d) == _interval(q, self.d):
@@ -166,14 +168,59 @@ class BracketExpression:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "BracketExpression":
-        m, d = int(data["m"]), int(data["d"])
+    def from_json_dict(cls, data) -> "BracketExpression":
+        """Parse the JSON form; a missing or mistyped field raises ValueError."""
+        m, d = _json_int(_json_field(data, "m"), "m"), _json_int(_json_field(data, "d"), "d")
+        if m < 0 or d < 0:
+            raise ValueError("m and d must be nonnegative")
+        entries = _json_field(data, "terms")
+        if not isinstance(entries, list):
+            raise ValueError("terms must be a list")
         terms: dict[tuple, Fraction] = {}
-        for entry in data["terms"]:
-            mono = from_pairs(m, d, [tuple(pair) for pair in entry["chords"]])
-            coeff = Fraction(entry["coeff"]) * int(entry.get("sign", 1)) * mono.sign
+        for entry in entries:
+            chords = _json_field(entry, "chords")
+            if not isinstance(chords, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in chords
+            ):
+                raise ValueError("chords must be a list of slot pairs [p, q]")
+            pairs = [tuple(_json_int(x, "chord slot") for x in pair) for pair in chords]
+            sign = _json_int(entry.get("sign", 1), "sign")
+            if sign not in (1, -1):
+                raise ValueError(f"sign must be 1 or -1, got {sign}")
+            mono = from_pairs(m, d, pairs)
+            coeff = _json_coeff(_json_field(entry, "coeff")) * sign * mono.sign
             terms[mono.chords] = terms.get(mono.chords, Fraction(0)) + coeff
         return cls(m, d, terms)
+
+
+def _json_field(data, key: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with a {key!r} field")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+# Integers, p/q and plain decimals; no exponents, which could ask Fraction
+# for an arbitrarily large power of ten.
+_RATIONAL = re.compile(r"\s*[+-]?(\d+/\d+|\d*\.?\d+)\s*")
+
+
+def _json_coeff(value) -> Fraction:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+    raise ValueError(f'coefficient must be an integer or a string such as "2/3", got {value!r}')
 
 
 def _resolve_crossing(m: int, d: int, chords, quad) -> list[tuple]:
@@ -182,12 +229,18 @@ def _resolve_crossing(m: int, d: int, chords, quad) -> list[tuple]:
     Returns the surviving canonical chord tuples (coefficient +1 each)."""
     i, ii, j, jj = quad
     rest = tuple(ch for ch in chords if ch != (i, j) and ch != (ii, jj))
+    before = _total_crossings(chords)
     out = []
     for new_pair in (((i, ii), (j, jj)), ((i, jj), (ii, j))):
         if any(_interval(p, d) == _interval(q, d) for p, q in new_pair):
             continue
         resolved = tuple(sorted(rest + new_pair))
-        assert _total_crossings(resolved) < _total_crossings(chords)
+        after = _total_crossings(resolved)
+        if after >= before:
+            raise RuntimeError(
+                f"rewriting would not terminate: resolving {quad} left "
+                f"{after} crossings, not fewer than {before}"
+            )
         out.append(resolved)
     return out
 

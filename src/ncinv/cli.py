@@ -14,11 +14,10 @@ import sys
 from fractions import Fraction
 
 from .brackets import BracketExpression, to_noncrossing
-from .cache import ResultCache
 from .freeprob import CumulantSequence, moments_from_cumulants
 from .group_action import GroupElement, default_witnesses, is_invariant
 from .hilbert import (
-    QUADRATURE_TOL,
+    compare_methods,
     dims_by_chebyshev,
     dims_by_enumeration,
     dims_by_quadrature,
@@ -28,14 +27,11 @@ from .symbolic import noncrossing_basis
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    # Accepted and ignored, so that existing command lines keep working.
     parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the result cache entirely")
+                        help="ignored (no results are cached)")
     parser.add_argument("--cache-dir", default=None,
-                        help="cache directory (default: $NCINV_CACHE_DIR or ~/.cache/ncinv)")
-
-
-def _cache_from(args) -> ResultCache:
-    return ResultCache(args.cache_dir, enabled=not args.no_cache)
+                        help="ignored (no results are cached)")
 
 
 def _nonneg(text: str) -> int:
@@ -99,19 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dim(args) -> int:
-    cache = _cache_from(args)
-    count = cache.fetch(
-        "dim", {"d": args.d, "m": args.m},
-        lambda: count_m_partite_nc_pairings(args.m, args.d),
-    )
-    print(count)
+    print(count_m_partite_nc_pairings(args.m, args.d))
     return 0
 
 
 def _cmd_basis(args) -> int:
     basis = noncrossing_basis(args.m, args.d)
     if args.format == "json":
-        print(json.dumps([poly.to_json_dict() for poly in basis]))
+        # Element by element, as json.dumps of the whole list would print it.
+        out = sys.stdout
+        out.write("[")
+        for i, poly in enumerate(basis):
+            if i:
+                out.write(", ")
+            out.write(json.dumps(poly.to_json_dict()))
+        out.write("]\n")
     else:
         for poly in basis:
             print(poly.pretty())
@@ -120,45 +118,25 @@ def _cmd_basis(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     fmt = args.format or ("csv" if args.method == "all" else "text")
-    cache = _cache_from(args)
-
-    def enum_dims() -> list[int]:
-        return cache.fetch(
-            "hilbert-enum", {"d": args.d, "M": args.max_m},
-            lambda: list(dims_by_enumeration(args.d, args.max_m).dims),
-        )
 
     if args.method == "all":
-        enum = enum_dims()
-        cheb = dims_by_chebyshev(args.d, args.max_m).dims
-        quad = dims_by_quadrature(args.d, args.max_m, args.nodes).dims
-        rows = [
-            (m, enum[m], cheb[m], quad[m], abs(quad[m] - enum[m]))
-            for m in range(args.max_m + 1)
-        ]
-        mismatch = any(r[1] != r[2] for r in rows)
-        quad_bad = any(r[4] > QUADRATURE_TOL for r in rows)
+        report = compare_methods(args.d, args.max_m, nodes=args.nodes)
         if fmt == "json":
             print(json.dumps({
-                "d": args.d,
-                "rows": [
-                    {"m": m, "enum": en, "cheb": ch, "quad": qu, "abs_err": err}
-                    for m, en, ch, qu, err in rows
-                ],
-                "exact_mismatch": mismatch,
-                "quad_above_tol": quad_bad,
+                "d": report.d,
+                "rows": report.to_json_dict()["rows"],
+                "exact_mismatch": not report.exact_methods_agree,
+                "quad_above_tol": not report.quadrature_within_tolerance,
             }))
         else:
-            print("m,enum,cheb,quad,abs_err")
-            for m, en, ch, qu, err in rows:
-                print(f"{m},{en},{ch},{qu:.{args.precision}g},{err:.3e}")
-        if mismatch or quad_bad:
+            print(report.to_csv(args.precision))
+        if not report.ok:
             print("method comparison failed", file=sys.stderr)
             return 1
         return 0
 
     if args.method == "enumeration":
-        dims = enum_dims()
+        dims = list(dims_by_enumeration(args.d, args.max_m).dims)
     elif args.method == "chebyshev":
         dims = list(dims_by_chebyshev(args.d, args.max_m).dims)
     else:

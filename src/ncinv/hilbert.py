@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .partitions import catalan, count_m_partite_nc_pairings
+from .partitions import _iter_nc_matchings, catalan
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,13 @@ class DimensionSeries:
 
 
 def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
-    """dims[m] = number of m-partite noncrossing pairings of [md]."""
+    """dims[m] = number of m-partite noncrossing pairings of [md], counted by
+    visiting every pairing (independent of the transfer count that
+    ``partitions.count_m_partite_nc_pairings`` uses)."""
     if d < 0 or max_m < 0:
         raise ValueError("d and max_m must be nonnegative")
-    dims = tuple(count_m_partite_nc_pairings(m, d) for m in range(max_m + 1))
+    dims = tuple(sum(1 for _ in _iter_nc_matchings(m * d, max(d, 1)))
+                 for m in range(max_m + 1))
     return DimensionSeries(d, dims, "enumeration")
 
 

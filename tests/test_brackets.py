@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncinv
 from ncinv.brackets import (
     BracketExpression,
     BracketMonomial,
@@ -210,3 +215,61 @@ class TestExpressionJson:
         }
         with pytest.raises(VanishingBracketError):
             BracketExpression.from_json_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ([{"m": 2, "d": 1, "terms": []}], "JSON object"),
+        ({"d": 1, "terms": []}, "missing field 'm'"),
+        ({"m": 2, "d": 1, "terms": None}, "terms must be a list"),
+        ({"m": -1, "d": 1, "terms": []}, "nonnegative"),
+        ({"m": 2.5, "d": 1, "terms": []}, "m must be an integer"),
+        ({"m": 2, "d": "1", "terms": []}, "d must be an integer"),
+        ({"m": True, "d": 1, "terms": []}, "m must be an integer"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": "1/0", "chords": [[1, 2]]}]}, "zero denominator"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": float("inf"), "chords": [[1, 2]]}]}, "coefficient"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": 0.5, "chords": [[1, 2]]}]}, "coefficient"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": "1e9", "chords": [[1, 2]]}]}, "coefficient"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": "1", "chords": [[1, 2]], "sign": 1.0}]}, "sign"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": "1", "chords": [[1, 2]], "sign": 2}]}, "sign"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": "1", "chords": [[1, 2, 3]]}]}, "slot pairs"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": "1", "chords": [[1, "2"]]}]}, "chord slot"),
+        ({"m": 2, "d": 1, "terms": [{"chords": [[1, 2]]}]}, "missing field 'coeff'"),
+        ({"m": 2, "d": 1, "terms": ["x"]}, "JSON object"),
+    ])
+    def test_malformed_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            BracketExpression.from_json_dict(data)
+
+    def test_accepted_coefficient_forms(self):
+        for coeff, want in [(3, 3), ("-2/4", Fraction(-1, 2)), (" 0.25 ", Fraction(1, 4))]:
+            data = {"m": 2, "d": 1, "terms": [{"coeff": coeff, "chords": [[1, 2]]}]}
+            assert BracketExpression.from_json_dict(data).terms == {((1, 2),): Fraction(want)}
+
+    def test_huge_m_rejected_without_building_the_ground_set(self):
+        data = {"m": 10 ** 15, "d": 10 ** 15,
+                "terms": [{"coeff": "1", "chords": [[1, 2]], "sign": 1}]}
+        with pytest.raises(ValueError, match="perfect matching"):
+            BracketExpression.from_json_dict(data)
+
+
+class TestTerminationCheck:
+    def test_active_under_optimize(self):
+        # Make every crossing count read 0 so no resolution can lower it; the
+        # check must still fire with asserts stripped by -O.
+        script = (
+            "import sys\n"
+            "assert False, 'asserts are on'\n"
+            "from ncinv import brackets\n"
+            "brackets._total_crossings = lambda chords: 0\n"
+            "try:\n"
+            "    brackets._resolve_crossing(4, 1, ((1, 3), (2, 4)), (1, 2, 3, 4))\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+            "print('optimize', sys.flags.optimize)\n"
+        )
+        src = str(Path(ncinv.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "raised: rewriting would not terminate" in done.stdout
+        assert "optimize 1" in done.stdout

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncinv.cache import ResultCache
 from ncinv.cli import main
+from ncinv.symbolic import noncrossing_basis
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +33,16 @@ class TestDim:
         with pytest.raises(SystemExit) as exc:
             main(["dim", "--d", "-1", "--m", "2"])
         assert exc.value.code == 2
+
+    def test_large_count_fast_and_equal_to_chebyshev(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "dim", "--d", "6", "--m", "200")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        _, row, _ = run_cli(capsys, "hilbert", "--d", "6", "--max-m", "200",
+                            "--method", "chebyshev")
+        assert out == row.strip().split(",")[-1] + "\n"
+        assert len(out.strip()) == 164
 
 
 class TestBasis:
@@ -50,6 +67,13 @@ class TestBasis:
         data = json.loads(out)
         assert len(data) == 3
         assert all(entry["d"] == 2 and entry["m"] == 4 for entry in data)
+
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    def test_json_streamed_as_one_dump(self, capsys, m):
+        code, out, _ = run_cli(capsys, "basis", "--d", "2", "--m", str(m), "--format", "json")
+        assert code == 0
+        whole = json.dumps([poly.to_json_dict() for poly in noncrossing_basis(m, 2)])
+        assert out == whole + "\n"
 
 
 class TestHilbert:
@@ -138,6 +162,67 @@ class TestRewrite:
         code, _, err = run_cli(capsys, "rewrite", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"m": 2, "d": 1, "terms": [{"coeff": "1/0", "chords": [[1, 2]], "sign": 1}]}',
+        '{"m": 2, "d": 1, "terms": null}',
+        '[{"m": 2, "d": 1, "terms": []}]',
+        '{"m": 2, "d": 1, "terms": [{"coeff": 1e400, "chords": [[1, 2]], "sign": 1}]}',
+        '{"m": -1, "d": 1, "terms": []}',
+        '{"m": 2, "d": 1.5, "terms": []}',
+        '{"m": 2, "d": 1, "terms": [{"coeff": "1", "chords": [[1, 2]], "sign": "1"}]}',
+    ])
+    def test_malformed_fields_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "rewrite", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8) | st.sampled_from(["1", "2/3", "-1/2", "1/0", "0.5", "x"]))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["m", "d", "terms", "coeff", "chords", "sign"])
+                      | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _near_valid(draw):
+    """Objects shaped like a bracket file; each field is wrong one time in five."""
+    def field(good):
+        return draw(_JSON if draw(st.integers(0, 4)) == 0 else good)
+
+    m = field(st.integers(min_value=0, max_value=4))
+    d = field(st.integers(min_value=0, max_value=2))
+    small = all(type(v) is int and 0 < v <= 4 for v in (m, d))
+    slots = draw(st.permutations(range(1, m * d + 1 if small else 3)))
+    terms = [
+        {"coeff": field(st.integers(-5, 5) | st.sampled_from(["1", "-2/3", "0.5", "1/0"])),
+         "chords": field(st.just([list(slots[i:i + 2]) for i in range(0, len(slots) - 1, 2)])),
+         "sign": field(st.sampled_from([1, -1]))}
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return {"m": m, "d": d, "terms": field(st.just(terms))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_JSON, _near_valid()))
+def test_rewrite_any_json_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "expr.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["rewrite", path])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+
 
 class TestVerify:
     def test_quadratic_pass(self, capsys):
@@ -194,39 +279,20 @@ class TestMoments:
         assert code == 2
 
 
-class TestCache:
-    def test_cached_and_fresh_byte_identical(self, capsys, tmp_path):
-        args = ["hilbert", "--d", "2", "--max-m", "5", "--method", "enumeration",
-                "--cache-dir", str(tmp_path)]
-        cold = run_cli(capsys, *args)
-        assert list(tmp_path.glob("*.json"))  # entry written
-        warm = run_cli(capsys, *args)
-        fresh = run_cli(capsys, *args, "--no-cache")
-        assert cold == warm == fresh
-
+class TestIgnoredCacheFlags:
     def test_no_cache_writes_nothing(self, capsys, tmp_path):
         run_cli(capsys, "dim", "--d", "2", "--m", "3",
                 "--cache-dir", str(tmp_path), "--no-cache")
-        assert not list(tmp_path.glob("*.json"))
+        assert not list(tmp_path.iterdir())
 
-    def test_corrupt_entry_recomputed(self, capsys, tmp_path):
-        args = ["dim", "--d", "2", "--m", "4", "--cache-dir", str(tmp_path)]
-        good = run_cli(capsys, *args)
-        entry = next(tmp_path.glob("*.json"))
-        entry.write_text("{broken", encoding="utf-8")
-        again = run_cli(capsys, *args)
-        assert again == good
-
-    def test_mismatched_entry_ignored(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.store("dim", {"d": 2, "m": 2}, 1)
-        entry = next(tmp_path.glob("*.json"))
-        data = json.loads(entry.read_text(encoding="utf-8"))
-        data["params"] = {"d": 2, "m": 3}
-        entry.write_text(json.dumps(data), encoding="utf-8")
-        assert cache.lookup("dim", {"d": 2, "m": 2}) is None
-
-    def test_env_var_default(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("NCINV_CACHE_DIR", str(tmp_path / "envcache"))
-        cache = ResultCache()
-        assert cache.directory == tmp_path / "envcache"
+    @pytest.mark.parametrize("argv", [
+        ["dim", "--d", "2", "--m", "6"],
+        ["hilbert", "--d", "2", "--max-m", "5", "--method", "enumeration"],
+        ["hilbert", "--d", "2", "--max-m", "5", "--method", "all"],
+    ])
+    def test_cache_dir_writes_nothing(self, capsys, tmp_path, argv):
+        plain = run_cli(capsys, *argv)
+        flagged = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+        assert flagged == plain
+        assert plain[0] == 0
+        assert not list(tmp_path.iterdir())

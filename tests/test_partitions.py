@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,8 @@ from ncinv.partitions import (
     unthicken,
     zero_partition,
 )
+
+from ncinv.hilbert import dims_by_chebyshev
 
 from _oracles import (
     all_perfect_matchings,
@@ -173,6 +177,47 @@ class TestMPartite:
     def test_degenerate(self):
         assert len(enumerate_m_partite_nc_pairings(0, 2)) == 1
         assert len(enumerate_m_partite_nc_pairings(2, 0)) == 1
+
+
+class TestTransferCount:
+    """count_m_partite_nc_pairings counts by stack height; every other route
+    here visits pairings or expands polynomials."""
+
+    def test_matches_enumeration(self):
+        for d in range(0, 21):
+            for m in range(0, 21):
+                if m * d <= 20:
+                    assert count_m_partite_nc_pairings(m, d) == len(
+                        enumerate_m_partite_nc_pairings(m, d)
+                    ), (m, d)
+
+    def test_matches_chebyshev(self):
+        for d in range(0, 7):
+            counts = tuple(count_m_partite_nc_pairings(m, d) for m in range(61))
+            assert counts == dims_by_chebyshev(d, 60).dims, d
+
+    def test_catalan_closed_form(self):
+        for m in range(0, 41):
+            want = catalan(m // 2) if m % 2 == 0 else 0
+            assert count_m_partite_nc_pairings(m, 1) == want
+
+    def test_riordan_closed_form(self):
+        # Riordan numbers: the binomial transform sum_k (-1)^(m-k) C(m,k) C_k.
+        for m in range(0, 41):
+            want = sum((-1) ** (m - k) * comb(m, k) * catalan(k) for k in range(m + 1))
+            assert count_m_partite_nc_pairings(m, 2) == want
+
+    def test_edge_cases(self):
+        assert all(count_m_partite_nc_pairings(0, d) == 1 for d in range(8))
+        assert all(count_m_partite_nc_pairings(m, 0) == 1 for m in range(8))
+        for m, d in [(1, 1), (3, 1), (1, 3), (3, 3), (5, 7), (101, 5)]:
+            assert count_m_partite_nc_pairings(m, d) == 0
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            count_m_partite_nc_pairings(-1, 2)
+        with pytest.raises(ValueError):
+            count_m_partite_nc_pairings(2, -1)
 
 
 class TestLattice:
