@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .brackets import BracketExpression, to_noncrossing
 from .freeprob import CumulantSequence, moments_from_cumulants
@@ -167,7 +166,7 @@ def _cmd_rewrite(args) -> int:
 def _cmd_verify(args) -> int:
     witnesses = list(default_witnesses(args.seed, args.witnesses))
     for quad in args.witness_matrix:
-        witnesses.append(GroupElement(*(Fraction(v) for v in quad)))
+        witnesses.append(GroupElement(*quad))
     basis = noncrossing_basis(args.m, args.d)
     failures = 0
     for i, poly in enumerate(basis):

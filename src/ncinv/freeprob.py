@@ -1,9 +1,12 @@
 """Free cumulants, moment-cumulant inversion over NC(n), and the
 combinatorial moments of free stochastic measures.
 
-Moments and cumulants are exact rationals.  All sums over NC(n) are explicit
-enumerations; the interval ("at most one element per group") constraint in
-``psi_mixed_moment`` is pruned inside the search rather than filtered after.
+Moments and cumulants are exact rationals.  No sum over NC(n) is listed
+term by term: each is split by the block that holds its first point, whose
+gaps are independent smaller sums.  That gives an O(n^3) recursion for the
+moment-cumulant relation and an O(n^3 m) one for ``psi_mixed_moment``, where
+the interval ("at most one element per group") constraint decides which
+points can follow in a block.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import IntervalPartition, SetPartition, _iter_nc_blocks
+from .partitions import IntervalPartition, SetPartition
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,13 @@ class CumulantSequence:
     def __post_init__(self) -> None:
         if self.kind not in ("semicircle", "free-poisson", "table"):
             raise ValueError(f"unknown cumulant rule {self.kind!r}")
-        object.__setattr__(self, "table", tuple(Fraction(v) for v in self.table))
+        table = []
+        for v in self.table:
+            try:
+                table.append(Fraction(v))
+            except ZeroDivisionError:
+                raise ValueError(f"cumulant {v!r} has a zero denominator") from None
+        object.__setattr__(self, "table", tuple(table))
 
     @classmethod
     def semicircle(cls) -> "CumulantSequence":
@@ -75,7 +84,7 @@ class CumulantSequence:
             if body.startswith("[") and body.endswith("]"):
                 body = body[1:-1]
             entries = [s for s in (part.strip() for part in body.split(",")) if s]
-            return cls.from_table(Fraction(s) for s in entries)
+            return cls.from_table(entries)
         raise ValueError(f"unknown cumulant rule {text!r}")
 
     def __getitem__(self, k: int) -> Fraction:
@@ -88,43 +97,56 @@ class CumulantSequence:
         return self.table[k - 1] if k <= len(self.table) else Fraction(0)
 
 
-def _cumulant_product(blocks, c: CumulantSequence) -> Fraction:
-    out = Fraction(1)
-    for block in blocks:
-        factor = c[len(block)]
-        if not factor:
-            return Fraction(0)
-        out *= factor
-    return out
+def _first_block_sums(moments: list, cumulants: list, n: int):
+    """Yield, for k = 1..n, the sum over s = 1..k-1 of c_s [z^(k-s)] M(z)^s.
+
+    This is the part of m_k = sum_s c_s [z^(k-s)] M(z)^s that leaves out the
+    one-block partition (s = k contributes c_k, as [z^0] M^k = 1): the block
+    holding 1 has s elements, and the s gaps after them carry independent
+    moments.  M(z) = sum_j m_j z^j is read from ``moments`` and c_s from
+    ``cumulants[s - 1]``; the caller appends m_(k-1) and c_(k-1) before asking
+    for the k-th sum.  powers[s][j] = [z^j] M^s grows one entry per power and
+    step, which is O(n^3) exact operations in all.
+    """
+    powers: list[list[Fraction]] = [[]]
+    for k in range(1, n + 1):
+        powers.append([])
+        total = Fraction(0)
+        for s in range(1, k):
+            j = k - s
+            if s == 1:
+                entry = moments[j]
+            else:
+                # [z^j] M^s = sum_i m_i [z^(j-i)] M^(s-1); entry j of M^(s-1)
+                # was added at the previous step.
+                prev = powers[s - 1]
+                entry = sum(moments[i] * prev[j - i] for i in range(j + 1) if moments[i])
+            powers[s].append(entry)
+            if cumulants[s - 1]:
+                total += cumulants[s - 1] * entry
+        powers[k].append(Fraction(1))
+        yield total
 
 
 def moments_from_cumulants(c: CumulantSequence, n: int) -> MomentSequence:
-    """m_k = sum over sigma in NC(k) of prod over blocks of c_|B|, k <= n."""
+    """m_k = sum over sigma in NC(k) of prod over blocks of c_|B|, k <= n,
+    by the first-block recursion m_k = sum_s c_s [z^(k-s)] M(z)^s."""
     values = [Fraction(1)]
-    for k in range(1, n + 1):
-        total = Fraction(0)
-        for blocks in _iter_nc_blocks(1, k):
-            total += _cumulant_product(blocks, c)
-        values.append(total)
+    cums = [c[s] for s in range(1, n + 1)]
+    for k, rest in enumerate(_first_block_sums(values, cums, n), start=1):
+        values.append(rest + cums[k - 1])
     return MomentSequence(tuple(values))
 
 
 def cumulants_from_moments(m: MomentSequence, n: int) -> CumulantSequence:
     """Moebius inversion of the moment-cumulant relation up to order n,
-    solved triangularly: c_k = m_k - sum over non-maximal sigma in NC(k)."""
+    solved triangularly: c_k = m_k - (the first-block sum over s < k)."""
     if m.order < n:
         raise ValueError(f"need moments up to order {n}")
     cums: list[Fraction] = []
-    partial = CumulantSequence.from_table(())
-    for k in range(1, n + 1):
-        rest = Fraction(0)
-        for blocks in _iter_nc_blocks(1, k):
-            if len(blocks) == 1:
-                continue
-            rest += _cumulant_product(blocks, partial)
+    for k, rest in enumerate(_first_block_sums(m.values, cums, n), start=1):
         cums.append(m[k] - rest)
-        partial = CumulantSequence.from_table(cums)
-    return partial
+    return CumulantSequence.from_table(cums)
 
 
 def partitioned_moment(pi: SetPartition, m: MomentSequence) -> Fraction:
@@ -141,17 +163,44 @@ def psi_mixed_moment(k, c: CumulantSequence) -> Fraction:
 
     the sum over sigma in NC(k_1+...+k_m) whose meet with the interval
     partition of the k_i is discrete, of prod over blocks of c_|B|.
+
+    Summed by the block that holds the first point of a range: its next
+    element lies in a strictly later window, and every gap between its
+    elements is an independent range.  A block takes at most one point per
+    window, so only c_1..c_m enter, and no block grows past the last size
+    with a nonzero cumulant.  O(n^3 m) exact operations for n points.
     """
     sizes = tuple(int(v) for v in k)
     if any(v <= 0 for v in sizes):
         raise ValueError("group sizes must be positive")
     if not sizes:
         return Fraction(1)
-    interval_of = IntervalPartition(sizes).interval_of
-    total = Fraction(0)
-    for blocks in _iter_nc_blocks(1, sum(sizes), interval_of):
-        total += _cumulant_product(blocks, c)
-    return total
+    n = sum(sizes)
+    weight = [Fraction(0)] + [c[s] for s in range(1, len(sizes) + 1)]
+    top = max((s for s, w in enumerate(weight) if w), default=0)
+    # x -> (the number of windows up to x's, the first point of the next)
+    place = {x: (i + 1, window[-1] + 1)
+             for i, window in enumerate(IntervalPartition(sizes).partition.blocks)
+             for x in window}
+    # ranges[lo][hi]: the sum over the admissible partitions of lo..hi-1
+    ranges = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
+    for hi in range(1, n + 2):
+        ranges[hi][hi] = Fraction(1)
+        # grow[s][b]: for a block whose s-th and so far last element is b,
+        # the sum over its ways to go on inside b+1..hi-1, gaps included
+        grow = [[Fraction(0)] * (hi + 1) for _ in range(top + 2)]
+        for b in range(hi - 1, 0, -1):
+            windows, later = place[b]
+            gaps = ranges[b + 1]
+            for s in range(min(top, windows), 0, -1):
+                longer = grow[s + 1]
+                total = weight[s] * gaps[hi]
+                for x in range(later, hi):
+                    if longer[x]:
+                        total += gaps[x] * longer[x]
+                grow[s][b] = total
+            ranges[b][hi] = grow[1][b]
+    return ranges[1][n + 1]
 
 
 def psi_orthogonality(m: int, n: int, c: CumulantSequence) -> Fraction:

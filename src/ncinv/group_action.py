@@ -33,7 +33,11 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "e"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, Fraction(value))
+            except ZeroDivisionError:
+                raise ValueError(f"entry {name} = {value!r} has a zero denominator") from None
         if self.a * self.e - self.b * self.c != 1:
             raise ValueError("determinant must be exactly 1")
 
@@ -65,8 +69,7 @@ class GroupElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupElement":
-        return cls(Fraction(data["a"]), Fraction(data["b"]),
-                   Fraction(data["c"]), Fraction(data["e"]))
+        return cls(data["a"], data["b"], data["c"], data["e"])
 
 
 SHEAR_UPPER = GroupElement(1, 1, 0, 1)

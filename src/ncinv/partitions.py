@@ -117,17 +117,6 @@ class IntervalPartition:
             start += k
         return SetPartition(self.n, tuple(blocks))
 
-    @cached_property
-    def interval_of(self) -> dict[int, int]:
-        """Element -> 0-based index of the interval containing it."""
-        out: dict[int, int] = {}
-        start = 1
-        for i, k in enumerate(self.sizes):
-            for x in range(start, start + k):
-                out[x] = i
-            start += k
-        return out
-
 
 def zero_partition(n: int) -> SetPartition:
     """The minimal element of NC(n): all blocks singletons."""
@@ -193,11 +182,8 @@ def crossing_count(p: SetPartition) -> int:
     return count
 
 
-def _iter_nc_blocks(lo: int, hi: int, interval_of: dict[int, int] | None = None):
+def _iter_nc_blocks(lo: int, hi: int):
     """Yield canonical block tuples of all noncrossing partitions of [lo..hi].
-
-    With ``interval_of`` given, only partitions whose blocks take at most one
-    element from each interval are produced (pruned during the search).
 
     The block containing lo splits the rest into independent gaps; recursing
     over gaps and the tail visits each noncrossing partition exactly once,
@@ -207,30 +193,21 @@ def _iter_nc_blocks(lo: int, hi: int, interval_of: dict[int, int] | None = None)
         yield ()
         return
 
-    def rec(last: int, block: list[int], intervals: set[int], acc: tuple):
-        for tail in _iter_nc_blocks(last + 1, hi, interval_of):
+    def rec(last: int, block: list[int], acc: tuple):
+        for tail in _iter_nc_blocks(last + 1, hi):
             yield (tuple(block),) + acc + tail
         for x in range(last + 1, hi + 1):
-            if interval_of is not None:
-                iv = interval_of[x]
-                if iv in intervals:
-                    continue
-            for gap in _iter_nc_blocks(last + 1, x - 1, interval_of):
+            for gap in _iter_nc_blocks(last + 1, x - 1):
                 block.append(x)
-                if interval_of is not None:
-                    intervals.add(iv)
-                yield from rec(x, block, intervals, acc + gap)
+                yield from rec(x, block, acc + gap)
                 block.pop()
-                if interval_of is not None:
-                    intervals.remove(iv)
 
-    start_intervals = {interval_of[lo]} if interval_of is not None else set()
-    yield from rec(lo, [lo], start_intervals, ())
+    yield from rec(lo, [lo], ())
 
 
-def iter_nc_blocks(n: int, interval_of: dict[int, int] | None = None):
+def iter_nc_blocks(n: int):
     """Raw enumeration of NC(n) as canonical block tuples (no wrapping)."""
-    return _iter_nc_blocks(1, n, interval_of)
+    return _iter_nc_blocks(1, n)
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
@@ -251,33 +228,48 @@ def _iter_nc_matchings(n: int, interval_size: int = 1):
     Positions are scanned left to right; each either opens a new chord or
     closes the most recent open one (the stack discipline is exactly
     noncrossingness).  Closing against an opener from the current window is
-    forbidden, which prunes non-partite branches immediately.
+    forbidden, which prunes non-partite branches immediately.  The search
+    walks an explicit path of choices, so every matching is yielded straight
+    from this frame instead of through one generator per position.
     """
-    if n == 0:
-        yield ()
-        return
     if n % 2:
         return
-    chords: list[tuple[int, int]] = []
-    stack: list[int] = []
-
-    def rec(t: int):
+    openers: list[int] = []  # chords in order of their openers, i.e. sorted
+    closers: list[int] = []
+    stack: list[int] = []  # indices of the open chords
+    path: list[int] = []  # per position so far: the chord it closed, or -1
+    t, may_close = 1, True
+    while True:
         if t > n:
-            yield tuple(sorted(chords))
-            return
-        remaining_after = n - t
-        if stack and (stack[-1] - 1) // interval_size != (t - 1) // interval_size:
-            p = stack.pop()
-            chords.append((p, t))
-            yield from rec(t + 1)
-            chords.pop()
-            stack.append(p)
-        if len(stack) + 1 <= remaining_after:
-            stack.append(t)
-            yield from rec(t + 1)
+            yield tuple(zip(openers, closers))
+        elif (may_close and stack
+              and (openers[stack[-1]] - 1) // interval_size != (t - 1) // interval_size):
+            i = stack.pop()
+            closers[i] = t
+            path.append(i)
+            t += 1
+            continue
+        elif len(stack) < n - t:
+            stack.append(len(openers))
+            openers.append(t)
+            closers.append(0)
+            path.append(-1)
+            t, may_close = t + 1, True
+            continue
+        # Back up to the latest position that closed a chord, to open one
+        # there instead.
+        while True:
+            if not path:
+                return
+            t -= 1
+            i = path.pop()
+            if i >= 0:
+                stack.append(i)
+                may_close = False
+                break
             stack.pop()
-
-    yield from rec(1)
+            openers.pop()
+            closers.pop()
 
 
 def enumerate_nc_pairings(n: int) -> list[PairPartition]:
@@ -364,30 +356,37 @@ def meet(p: SetPartition, q: SetPartition) -> SetPartition:
 def nc_moebius(p: SetPartition, q: SetPartition) -> int:
     """Moebius function of the interval [p, q] inside the lattice NC(n).
 
-    Computed by the generic recursion mu(q,q)=1, mu(p,q) = -sum of mu(s,q)
-    over p < s <= q; the closed form mu(0,1) = (-1)^(n-1) C_(n-1) is a test
-    oracle, not the implementation.
+    [p, q] is the product over the blocks B of q of the intervals
+    [p|B, 1_B] in NC(|B|), and the Kreweras complement K maps [pi, 1] onto
+    [0, K(pi)] reversed, itself the product of NC(|V|) over the blocks V of
+    K(pi) (Nica-Speicher, Lectures 9-10).  So mu(p, q) is the product of
+    (-1)^(|V|-1) C_(|V|-1) over the blocks V of every K(p|B).  The blocks of
+    K(pi) are the cycles of pi^-1 gamma, where gamma is the cycle
+    (1 2 ... k) and pi cycles through each of its blocks in increasing
+    order.  O(n).
     """
     if p.n != q.n:
         raise ValueError("mismatched ground sets")
     if not leq(p, q):
         raise ValueError("p must refine q")
-    n = p.n
-    interval = [
-        s
-        for s in (SetPartition(n, blocks) for blocks in _iter_nc_blocks(1, n))
-        if leq(p, s) and leq(s, q)
-    ]
-    # Coarser partitions have fewer blocks, so computing mu(., q) in order of
-    # increasing block count only ever looks at finished values.
-    interval.sort(key=lambda s: len(s.blocks))
-    mu: dict[SetPartition, int] = {}
-    for s in interval:
-        if s == q:
-            mu[s] = 1
-        else:
-            mu[s] = -sum(mu[t] for t in interval if t in mu and t != s and leq(s, t))
-    return mu[p]
+    before: dict[int, int] = {}  # x -> its predecessor under the cycle of p
+    for block in p.blocks:
+        for x, y in zip(block, block[1:] + block[:1]):
+            before[y] = x
+    out = 1
+    for block in q.blocks:
+        k = len(block)
+        position = {x: i for i, x in enumerate(block)}
+        seen = [False] * k
+        for start in range(k):
+            size, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                size += 1
+                i = position[before[block[(i + 1) % k]]]
+            if size:
+                out *= (-1) ** (size - 1) * catalan(size - 1)
+    return out
 
 
 def is_irreducible(p: SetPartition) -> bool:

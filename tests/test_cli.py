@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncinv.cli import main
+from ncinv.partitions import catalan
 from ncinv.symbolic import noncrossing_basis
 
 
@@ -257,6 +258,14 @@ class TestVerify:
         assert code == 2
         assert "determinant" in err
 
+    def test_zero_denominator_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--d", "1", "--m", "2",
+            "--witness-matrix", "1/0", "0", "0", "1",
+        )
+        assert code == 2
+        assert "zero denominator" in err
+
 
 class TestMoments:
     def test_semicircle(self, capsys):
@@ -277,6 +286,22 @@ class TestMoments:
     def test_unknown_rule_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--rule", "cauchy", "--n", "3")
         assert code == 2
+
+    def test_zero_denominator_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "moments", "--rule", "table:[1/0]", "--n", "3")
+        assert code == 2
+        assert "zero denominator" in err
+
+    @pytest.mark.parametrize("rule, want", [
+        ("free-poisson", lambda k: catalan(k)),
+        ("semicircle", lambda k: 0 if k % 2 else catalan(k // 2)),
+    ])
+    def test_order_60_fast(self, capsys, rule, want):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "moments", "--rule", rule, "--n", "60")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == ",".join(str(want(k)) for k in range(61)) + "\n"
 
 
 class TestIgnoredCacheFlags:

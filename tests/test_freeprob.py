@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,11 +24,37 @@ from ncinv.partitions import (
     one_partition,
 )
 
-from _oracles import all_perfect_matchings, brute_is_noncrossing
+from _oracles import (
+    all_perfect_matchings,
+    brute_cumulants,
+    brute_is_noncrossing,
+    brute_moments,
+    brute_psi,
+)
 
 
 SEMI = CumulantSequence.semicircle()
 POISSON = CumulantSequence.free_poisson()
+
+
+def _seeded_table(seed: int, length: int) -> CumulantSequence:
+    rng = random.Random(seed)
+    return CumulantSequence.from_table(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(length))
+
+
+ORACLE_RULES = [SEMI, POISSON] + [_seeded_table(seed, length)
+                                  for seed, length in ((1, 3), (2, 5), (3, 9))]
+
+
+def _compositions(total: int):
+    """Every tuple of positive integers summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
 
 
 class TestCumulantSequence:
@@ -44,6 +71,12 @@ class TestCumulantSequence:
         assert parsed[2] == Fraction(1, 2) and parsed[3] == -3
         with pytest.raises(ValueError):
             CumulantSequence.parse("gaussian")
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            CumulantSequence.parse("table:[1,1/0]")
+        with pytest.raises(ValueError, match="zero denominator"):
+            CumulantSequence.from_table(["1/0"])
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -104,13 +137,14 @@ class TestInversion:
         back = moments_from_cumulants(c, 8)
         assert back.values == ms.values
 
-    @given(st.lists(st.fractions(min_value=-3, max_value=3), min_size=6, max_size=6))
+    @given(st.lists(st.fractions(min_value=-3, max_value=3), max_size=12))
     @settings(max_examples=20, deadline=None)
     def test_cumulants_round_trip(self, table):
+        n = len(table)
         c = CumulantSequence.from_table(table)
-        ms = moments_from_cumulants(c, 6)
-        back = cumulants_from_moments(ms, 6)
-        assert [back[k] for k in range(1, 7)] == [c[k] for k in range(1, 7)]
+        ms = moments_from_cumulants(c, n)
+        back = cumulants_from_moments(ms, n)
+        assert [back[k] for k in range(1, n + 1)] == [c[k] for k in range(1, n + 1)]
 
     def test_matches_moebius_inversion(self):
         # brute-force Moebius sum over NC(n) as an independent oracle
@@ -127,6 +161,27 @@ class TestInversion:
                 for sigma in enumerate_nc(n)
             )
             assert cums[n] == brute
+
+
+class TestAgainstOracles:
+    """The recursions against sums over NC(n) listed by brute force."""
+
+    @pytest.mark.parametrize("c", ORACLE_RULES)
+    def test_moments(self, c):
+        assert list(moments_from_cumulants(c, 9).values) == brute_moments(c, 9)
+
+    @pytest.mark.parametrize("c", ORACLE_RULES)
+    def test_cumulants(self, c):
+        moments = brute_moments(c, 9)
+        cums = cumulants_from_moments(MomentSequence(tuple(moments)), 9)
+        assert list(cums.table) == brute_cumulants(moments, 9)
+        assert list(cums.table) == [c[k] for k in range(1, 10)]
+
+    @pytest.mark.parametrize("total", range(9))
+    def test_psi(self, total):
+        for sizes in _compositions(total):
+            for c in ORACLE_RULES:
+                assert psi_mixed_moment(sizes, c) == brute_psi(sizes, c), (sizes, c)
 
 
 class TestPartitionedMoment:
@@ -158,6 +213,15 @@ class TestPsiMoments:
 
     def test_empty_product(self):
         assert psi_mixed_moment((), SEMI) == 1
+
+    @pytest.mark.parametrize("sizes, want", [
+        ((4,) * 5, 16),
+        ((3,) * 8, count_m_partite_nc_pairings(8, 3)),
+    ])
+    def test_large_fast(self, sizes, want):
+        start = time.perf_counter()
+        assert psi_mixed_moment(sizes, SEMI) == want
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -46,6 +46,10 @@ class TestGroupElement:
         assert g.a * g.e - g.b * g.c == 1
         assert GroupElement.from_json_dict(g.to_json_dict()) == g
 
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            GroupElement.from_json_dict({"a": "1/0", "b": "0", "c": "0", "e": "1"})
+
     def test_random_elements_have_det_one(self):
         rng = random.Random(11)
         for _ in range(50):

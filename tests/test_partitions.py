@@ -35,6 +35,7 @@ from _oracles import (
     blocks_are_m_partite,
     brute_crossing_quadruples,
     brute_is_noncrossing,
+    brute_moebius,
 )
 
 
@@ -283,6 +284,12 @@ class TestMoebius:
         for n in range(1, 8):
             expect = (-1) ** (n - 1) * catalan(n - 1)
             assert nc_moebius(zero_partition(n), one_partition(n)) == expect
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_generic_recursion(self, n):
+        table = brute_moebius(n)
+        for (p, q), mu in table.items():
+            assert nc_moebius(SetPartition(n, p), SetPartition(n, q)) == mu, (p, q)
 
     def test_not_comparable(self):
         p = SetPartition(4, ((1, 2), (3, 4)))
