@@ -26,6 +26,7 @@ from .group_action import (
     default_witnesses,
     is_invariant,
     random_group_element,
+    random_witnesses,
     sym_power,
 )
 from .hilbert import (

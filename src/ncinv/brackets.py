@@ -16,9 +16,10 @@ runtime-checked invariant.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from ._rational import parse_rational
 
 
 class VanishingBracketError(ValueError):
@@ -35,6 +36,11 @@ def _total_crossings(chords) -> int:
         if a < c < b < e or c < a < e < b:
             count += 1
     return count
+
+
+def _crossings_between(chords, others) -> int:
+    """Crossing pairs made of one chord of ``chords`` and one of ``others``."""
+    return sum(1 for a, b in chords for c, e in others if a < c < b < e or c < a < e < b)
 
 
 def _crossing_quads(chords) -> list[tuple[int, int, int, int]]:
@@ -207,19 +213,11 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-# Integers, p/q and plain decimals; no exponents, which could ask Fraction
-# for an arbitrarily large power of ten.
-_RATIONAL = re.compile(r"\s*[+-]?(\d+/\d+|\d*\.?\d+)\s*")
-
-
 def _json_coeff(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+    if isinstance(value, str):
+        return parse_rational(value, "coefficient")
     raise ValueError(f'coefficient must be an integer or a string such as "2/3", got {value!r}')
 
 
@@ -228,20 +226,23 @@ def _resolve_crossing(m: int, d: int, chords, quad) -> list[tuple]:
     new chord falls inside one symbol is a vanishing bracket and is dropped.
     Returns the surviving canonical chord tuples (coefficient +1 each)."""
     i, ii, j, jj = quad
-    rest = tuple(ch for ch in chords if ch != (i, j) and ch != (ii, jj))
-    before = _total_crossings(chords)
+    old_pair = ((i, j), (ii, jj))
+    rest = tuple(ch for ch in chords if ch not in old_pair)
+    # Only crossings that involve a replaced chord change, so the strict
+    # decrease is decided by the two pairs against the rest and themselves.
+    removed = _total_crossings(old_pair) + _crossings_between(old_pair, rest)
     out = []
     for new_pair in (((i, ii), (j, jj)), ((i, jj), (ii, j))):
         if any(_interval(p, d) == _interval(q, d) for p, q in new_pair):
             continue
-        resolved = tuple(sorted(rest + new_pair))
-        after = _total_crossings(resolved)
-        if after >= before:
+        added = _total_crossings(new_pair) + _crossings_between(new_pair, rest)
+        if added >= removed:
+            before = _total_crossings(chords)
             raise RuntimeError(
                 f"rewriting would not terminate: resolving {quad} left "
-                f"{after} crossings, not fewer than {before}"
+                f"{before - removed + added} crossings, not fewer than {before}"
             )
-        out.append(resolved)
+        out.append(tuple(sorted(rest + new_pair)))
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._rational import as_rational
 from .partitions import IntervalPartition, SetPartition
 
 
@@ -51,13 +52,8 @@ class CumulantSequence:
     def __post_init__(self) -> None:
         if self.kind not in ("semicircle", "free-poisson", "table"):
             raise ValueError(f"unknown cumulant rule {self.kind!r}")
-        table = []
-        for v in self.table:
-            try:
-                table.append(Fraction(v))
-            except ZeroDivisionError:
-                raise ValueError(f"cumulant {v!r} has a zero denominator") from None
-        object.__setattr__(self, "table", tuple(table))
+        table = tuple(as_rational(v, "cumulant") for v in self.table)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def semicircle(cls) -> "CumulantSequence":

@@ -7,9 +7,11 @@ F(g^{-1} v).  The letters a_k of a noncommutative polynomial pair against
 forms by <a_k, F> = xi_k, so they transform contragrediently, by rows of
 M_d(g^{-1}).
 
-Invariance is certified on rational witnesses only (two shears generate a
-Zariski-dense subgroup, so fixing them plus a few random det-1 matrices pins
-down a polynomial identity) while staying in exact arithmetic throughout.
+Invariance is proved exactly, without sampling: a polynomial is fixed by
+all of SL(2, Q) iff the two infinitesimal shears, acting on its letters as
+derivations, both annihilate it (see ``is_invariant``).  Explicit group
+elements ("witnesses") can still be applied through ``act`` as a
+cross-check.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+from ._rational import as_rational
 from .symbolic import NcPolynomial
 
 
@@ -33,11 +36,7 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "e"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, Fraction(value))
-            except ZeroDivisionError:
-                raise ValueError(f"entry {name} = {value!r} has a zero denominator") from None
+            object.__setattr__(self, name, as_rational(getattr(self, name), f"entry {name}"))
         if self.a * self.e - self.b * self.c != 1:
             raise ValueError("determinant must be exactly 1")
 
@@ -182,16 +181,57 @@ def random_group_element(rng: random.Random) -> GroupElement:
     return GroupElement(a, b, c, (1 + b * c) / a)
 
 
+def random_witnesses(seed: int, count: int) -> tuple[GroupElement, ...]:
+    """``count`` pseudorandom det-1 matrices drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return tuple(random_group_element(rng) for _ in range(count))
+
+
 def default_witnesses(seed: int = 0, random_count: int = 5) -> tuple[GroupElement, ...]:
     """Both shears, one diagonal scaling, and seeded random det-1 matrices."""
-    rng = random.Random(seed)
-    extra = tuple(random_group_element(rng) for _ in range(random_count))
-    return (SHEAR_UPPER, SHEAR_LOWER, SCALE_TWO) + extra
+    return (SHEAR_UPPER, SHEAR_LOWER, SCALE_TWO) + random_witnesses(seed, random_count)
 
 
-def is_invariant(poly: NcPolynomial, witnesses=None, *, seed: int = 0,
-                 random_count: int = 5) -> bool:
-    """True iff act(g, poly) == poly exactly for every witness g."""
+def _shear_image(poly: NcPolynomial, step: int) -> dict[tuple[int, ...], int]:
+    """The infinitesimal shear N_+ (step 1) or N_- (step -1) applied to poly,
+    times the common denominator of its coefficients; zero terms dropped.
+
+    ``act`` substitutes a_k -> sum_j M_d(g^{-1})[k][j] a_j.  For the upper
+    shears g_t = [[1, t], [0, 1]], g_t^{-1} = [[1, -t], [0, 1]], so b = -t
+    and c = 0 in ``sym_power``: only r = j survives and, to first order in
+    t, M[k][k+1] = binom(d,k+1)/binom(d,k) (k+1) t = (d-k) t.  The lower
+    shears [[1, 0], [t, 1]] give M[k][k-1] = k t the same way.  So N_+ is
+    the derivation a_k -> (d-k) a_(k+1) and N_- is a_k -> k a_(k-1): a word
+    maps to at most m words, with integer weights.
+    """
+    d = poly.d
+    denominator = lcm(*(c.denominator for c in poly.terms.values()))
+    image: dict[tuple[int, ...], int] = {}
+    get = image.get
+    for word, coeff in poly.terms.items():
+        c = coeff.numerator * (denominator // coeff.denominator)
+        for pos, k in enumerate(word):
+            weight = d - k if step > 0 else k
+            if weight:
+                new = word[:pos] + (k + step,) + word[pos + 1:]
+                image[new] = get(new, 0) + weight * c
+    return {word: c for word, c in image.items() if c}
+
+
+def is_invariant(poly: NcPolynomial, witnesses=None) -> bool:
+    """With no witnesses: True iff poly is SL(2, Q)-invariant, proved exactly.
+
+    Write g_t = exp(tN) for a shear generator N.  The group acts on the
+    polynomials of fixed d and m through a representation, so act(g_t) =
+    exp(tD) for the derivation D that N induces (``_shear_image``).  D is
+    nilpotent, so exp(D) - 1 = D (1 + D/2! + ...) with the second factor
+    invertible: the shear fixes poly iff D kills it, and then so does every
+    g_t, t rational.  These shears generate SL(2, Q), so annihilation by N_+
+    and N_- is equivalent to invariance -- to passing every witness,
+    SHEAR_UPPER and SHEAR_LOWER included.
+
+    With witnesses: True iff act(g, poly) == poly exactly for every witness g.
+    """
     if witnesses is None:
-        witnesses = default_witnesses(seed, random_count)
+        return not _shear_image(poly, 1) and not _shear_image(poly, -1)
     return all(act(g, poly) == poly for g in witnesses)

@@ -49,6 +49,13 @@ class SetPartition:
         if support != list(range(1, self.n + 1)):
             raise ValueError(f"blocks do not partition 1..{self.n}: {raw!r}")
 
+    @classmethod
+    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Wrap canonical blocks the package built itself; nothing is re-checked."""
+        part = object.__new__(cls)
+        part.__dict__.update(n=n, blocks=blocks)
+        return part
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SetPartition):
             return NotImplemented
@@ -182,32 +189,66 @@ def crossing_count(p: SetPartition) -> int:
     return count
 
 
-def _iter_nc_blocks(lo: int, hi: int):
-    """Yield canonical block tuples of all noncrossing partitions of [lo..hi].
+def iter_nc_blocks(n: int):
+    """Yield NC(n) as canonical block tuples, in lexicographic order.
 
-    The block containing lo splits the rest into independent gaps; recursing
-    over gaps and the tail visits each noncrossing partition exactly once,
-    with the blocks already ordered by minimum.
+    Blocks are chosen in order of their minima.  Each starts at the least
+    element u not yet placed and takes later elements only below the least
+    placed element above u (going past it would cross the block that holds
+    it); the gaps it leaves are filled by the blocks chosen after it.  A
+    block's elements are chosen in increasing order, closing it is tried
+    before every extension, and smaller extensions before larger ones, so
+    the partitions come out in lexicographic order.  The search walks an
+    explicit path of choices in one loop, with no generator per level.
     """
-    if lo > hi:
+    if n == 0:
         yield ()
         return
-
-    def rec(last: int, block: list[int], acc: tuple):
-        for tail in _iter_nc_blocks(last + 1, hi):
-            yield (tuple(block),) + acc + tail
-        for x in range(last + 1, hi + 1):
-            for gap in _iter_nc_blocks(last + 1, x - 1):
-                block.append(x)
-                yield from rec(x, block, acc + gap)
-                block.pop()
-
-    yield from rec(lo, [lo], ())
-
-
-def iter_nc_blocks(n: int):
-    """Raw enumeration of NC(n) as canonical block tuples (no wrapping)."""
-    return _iter_nc_blocks(1, n)
+    placed = [False] * (n + 2)
+    placed[1] = placed[n + 1] = True  # n + 1 bounds the first block
+    blocks = [[1]]  # the blocks chosen so far; the last one is open
+    limits = [n + 1]  # per block: its elements stay below this
+    closed: list[tuple[int, ...]] = []
+    path: list[int] = []  # per choice: the element added, or 0 for a close
+    nxt = 0  # 0: close the open block next; else: add nxt to it
+    while True:
+        block = blocks[-1]
+        if not nxt:
+            closed.append(tuple(block))
+            u = block[0] + 1
+            while u <= n and placed[u]:
+                u += 1
+            if u <= n:
+                limit = u + 1
+                while not placed[limit]:
+                    limit += 1
+                placed[u] = True
+                blocks.append([u])
+                limits.append(limit)
+                path.append(0)
+                continue
+            yield tuple(closed)
+            closed.pop()
+            nxt = block[-1] + 1
+        if nxt < limits[-1]:
+            placed[nxt] = True
+            block.append(nxt)
+            path.append(nxt)
+            nxt = 0
+            continue
+        # Undo the latest choice and move on to the next one after it.
+        if not path:
+            return
+        x = path.pop()
+        if x:
+            block.pop()
+            placed[x] = False
+            nxt = x + 1
+        else:
+            placed[blocks.pop()[0]] = False
+            limits.pop()
+            closed.pop()
+            nxt = blocks[-1][-1] + 1
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
@@ -216,9 +257,7 @@ def enumerate_nc(n: int) -> list[SetPartition]:
     >>> len(enumerate_nc(3))
     5
     """
-    parts = [SetPartition(n, blocks) for blocks in _iter_nc_blocks(1, n)]
-    parts.sort(key=lambda p: p.blocks)
-    return parts
+    return [SetPartition._trusted(n, blocks) for blocks in iter_nc_blocks(n)]
 
 
 def _iter_nc_matchings(n: int, interval_size: int = 1):

@@ -12,7 +12,7 @@ noncrossing pairings give distinct counts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .brackets import BracketExpression, BracketMonomial, _total_crossings
 from .partitions import _iter_nc_matchings
@@ -40,6 +40,14 @@ class NcPolynomial:
             if c:
                 clean[word] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, d: int, m: int, terms: dict) -> "NcPolynomial":
+        """Wrap terms the package built itself: tuple words of length m over
+        0..d, nonzero Fraction coefficients.  Nothing is re-checked."""
+        poly = object.__new__(cls)
+        poly.d, poly.m, poly.terms = d, m, terms
+        return poly
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -76,16 +84,24 @@ class NcPolynomial:
         """Human-readable form, leading term first, e.g. 'a1·a0 - a0·a1'."""
         if not self.terms:
             return "0"
+        letters = [f"a{k}" for k in range(self.d + 1)]
         parts = []
         for word in sorted(self.terms, reverse=True):
             coeff = self.terms[word]
-            monom = "·".join(f"a{k}" for k in word) if word else "1"
-            mag = -coeff if coeff < 0 else coeff
-            body = monom if mag == 1 and word else f"{mag}·{monom}" if word else f"{mag}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
+            num, den = coeff.numerator, coeff.denominator
+            negative = num < 0
+            if negative:
+                num = -num
+            mag = str(num) if den == 1 else f"{num}/{den}"
+            if not word:
+                body = mag
             else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                monom = "·".join([letters[k] for k in word])
+                body = monom if mag == "1" else f"{mag}·{monom}"
+            if parts:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+            else:
+                parts.append(f"-{body}" if negative else body)
         return " ".join(parts)
 
     def to_json_dict(self) -> dict:
@@ -107,30 +123,69 @@ class NcPolynomial:
         )
 
 
+def _expand(b: BracketMonomial) -> dict[int, int]:
+    """The integer expansion of one bracket product (see ``restitution``),
+    keyed by words packed into integers: _letter_width(d) bytes per letter,
+    first letter highest.
+
+    A letter counts the eta_1 factors taken from its symbol, at most d, so
+    adding a place value never carries into the next letter.
+    """
+    width = _letter_width(b.d)
+    place = [1 << (8 * width * (b.m - 1 - i)) for i in range(b.m)]
+    profiles = {0: b.sign}
+    for p, q in b.chords:
+        # eta_1 from the symbol of p with sign +, or from that of q with sign -.
+        at_p, at_q = place[b.interval(p)], place[b.interval(q)]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, coeff in profiles.items():
+            plus, minus = key + at_p, key + at_q
+            nxt[plus] = get(plus, 0) + coeff
+            nxt[minus] = get(minus, 0) - coeff
+        profiles = nxt
+    return profiles
+
+
+def _letter_width(d: int) -> int:
+    return max(1, (d.bit_length() + 7) // 8)
+
+
+def _unpack(d: int, m: int, profiles: dict[int, int], denominator: int) -> NcPolynomial:
+    """The polynomial with coefficient c / denominator on each packed word."""
+    width = _letter_width(d)
+    size = width * m
+    # Few distinct coefficients occur; build each Fraction once and share it.
+    values = {c: Fraction(c, denominator) for c in set(profiles.values()) if c}
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for key, c in profiles.items():
+        if c:
+            raw = key.to_bytes(size, "big")
+            word = tuple(raw) if width == 1 else tuple(
+                int.from_bytes(raw[i:i + width], "big") for i in range(0, size, width))
+            terms[word] = values[c]
+    return NcPolynomial._trusted(d, m, terms)
+
+
 def restitution(b) -> NcPolynomial:
     """The noncommutative polynomial whose symbol is the bracket product b.
 
     Expands prod over chords {p,q} of (eta_{i(p),1} eta_{i(q),2} -
     eta_{i(p),2} eta_{i(q),1}); a term with eta_1-exponents (s_1,...,s_m)
     contributes its sign to the word (s_1,...,s_m).  Linear over
-    BracketExpression inputs.
+    BracketExpression inputs, whose monomials are summed in integers over
+    the common denominator of their coefficients.
     """
     if isinstance(b, BracketExpression):
-        out = NcPolynomial(b.d, b.m, {})
+        denominator = lcm(*(c.denominator for c in b.terms.values()))
+        total: dict[int, int] = {}
+        get = total.get
         for mono, coeff in b.monomials():
-            out = out + coeff * restitution(mono)
-        return out
-    profiles: dict[tuple[int, ...], Fraction] = {(0,) * b.m: Fraction(b.sign)}
-    for p, q in b.chords:
-        ip, iq = b.interval(p), b.interval(q)
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for prof, coeff in profiles.items():
-            plus = prof[:ip] + (prof[ip] + 1,) + prof[ip + 1:]
-            nxt[plus] = nxt.get(plus, Fraction(0)) + coeff
-            minus = prof[:iq] + (prof[iq] + 1,) + prof[iq + 1:]
-            nxt[minus] = nxt.get(minus, Fraction(0)) - coeff
-        profiles = nxt
-    return NcPolynomial(b.d, b.m, profiles)
+            scale = coeff.numerator * (denominator // coeff.denominator)
+            for key, c in _expand(mono).items():
+                total[key] = get(key, 0) + scale * c
+        return _unpack(b.d, b.m, total, denominator)
+    return _unpack(b.d, b.m, _expand(b), 1)
 
 
 def leading_term(poly: NcPolynomial) -> tuple[int, ...]:

@@ -14,6 +14,8 @@ from ncinv.brackets import (
     BracketExpression,
     BracketMonomial,
     VanishingBracketError,
+    _crossing_quads,
+    _resolve_crossing,
     from_pairs,
     pluecker_step,
     straighten_step,
@@ -21,7 +23,7 @@ from ncinv.brackets import (
 )
 from ncinv.symbolic import restitution
 
-from _oracles import all_perfect_matchings, blocks_are_m_partite
+from _oracles import all_perfect_matchings, blocks_are_m_partite, brute_crossing_quadruples
 
 
 def all_monomials(m, d):
@@ -252,6 +254,16 @@ class TestExpressionJson:
 
 
 class TestTerminationCheck:
+    @pytest.mark.parametrize("m, d", [(4, 2), (3, 3), (8, 1), (2, 4)])
+    def test_every_resolution_lowers_the_recounted_crossings(self, m, d):
+        # The check counts only the change a resolution makes; recount each
+        # result in full, for every crossing (not only the first).
+        for mono in all_monomials(m, d):
+            before = brute_crossing_quadruples(mono.chords)
+            for quad in _crossing_quads(mono.chords):
+                for resolved in _resolve_crossing(m, d, mono.chords, quad):
+                    assert brute_crossing_quadruples(resolved) < before
+
     def test_active_under_optimize(self):
         # Make every crossing count read 0 so no resolution can lower it; the
         # check must still fire with asserts stripped by -O.

@@ -267,6 +267,33 @@ class TestVerify:
         assert "zero denominator" in err
 
 
+    def test_stdout_fixed(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--d", "1", "--m", "4")
+        assert (code, err) == (0, "")
+        assert out == (
+            "PASS element 0: a1·a0·a1·a0 - a1·a0·a0·a1 - a0·a1·a1·a0 + a0·a1·a0·a1\n"
+            "PASS element 1: a1·a1·a0·a0 - a1·a0·a1·a0 - a0·a1·a0·a1 + a0·a0·a1·a1\n"
+        )
+
+    def test_random_witnesses_leave_stdout_unchanged(self, capsys):
+        plain = run_cli(capsys, "verify", "--d", "2", "--m", "4")
+        checked = run_cli(capsys, "verify", "--d", "2", "--m", "4",
+                          "--witnesses", "3", "--seed", "5",
+                          "--witness-matrix", "1", "2", "0", "1")
+        assert plain == checked
+        assert plain[0] == 0 and plain[1].count("PASS") == 3
+
+    def test_exponent_witness_exit_2(self, capsys):
+        # "1e0" is 1, so the matrix would have determinant 1; it is refused
+        # as text before any power of ten is built.
+        code, out, err = run_cli(
+            capsys, "verify", "--d", "1", "--m", "2",
+            "--witness-matrix", "1e0", "0", "0", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "plain decimal" in err and "'1e0'" in err
+
+
 class TestMoments:
     def test_semicircle(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--rule", "semicircle", "--n", "8")
@@ -291,6 +318,11 @@ class TestMoments:
         code, _, err = run_cli(capsys, "moments", "--rule", "table:[1/0]", "--n", "3")
         assert code == 2
         assert "zero denominator" in err
+
+    def test_exponent_entry_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "moments", "--rule", "table:[1,1e3]", "--n", "3")
+        assert (code, out) == (2, "")
+        assert "plain decimal" in err and "'1e3'" in err
 
     @pytest.mark.parametrize("rule, want", [
         ("free-poisson", lambda k: catalan(k)),

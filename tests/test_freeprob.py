@@ -78,6 +78,18 @@ class TestCumulantSequence:
         with pytest.raises(ValueError, match="zero denominator"):
             CumulantSequence.from_table(["1/0"])
 
+    @pytest.mark.parametrize("text", ["1e3", "2E-1", "1_000", "nan", "1/2/3"])
+    def test_exponent_and_other_strings_refused(self, text):
+        with pytest.raises(ValueError, match="plain decimal"):
+            CumulantSequence.parse(f"table:[1,{text}]")
+        with pytest.raises(ValueError, match="plain decimal"):
+            CumulantSequence.from_table([text])
+
+    def test_table_values(self):
+        rule = CumulantSequence.parse("table:[ -2 , 3/4, .5, 7.25]")
+        assert rule.table == (-2, Fraction(3, 4), Fraction(1, 2), Fraction(29, 4))
+        assert CumulantSequence.from_table([Fraction(1, 3), 2]).table == (Fraction(1, 3), 2)
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             SEMI[0]

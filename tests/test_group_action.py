@@ -1,20 +1,29 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ncinv
 from ncinv.group_action import (
     SCALE_TWO,
     SHEAR_LOWER,
     SHEAR_UPPER,
     GroupElement,
+    _shear_image,
     act,
     default_witnesses,
     is_invariant,
     random_group_element,
+    random_witnesses,
     sym_power,
 )
-from ncinv.symbolic import NcPolynomial, noncrossing_basis
+from ncinv.symbolic import NcPolynomial, leading_term, noncrossing_basis
 
 
 def md_pairs(limit):
@@ -49,6 +58,15 @@ class TestGroupElement:
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             GroupElement.from_json_dict({"a": "1/0", "b": "0", "c": "0", "e": "1"})
+
+    @pytest.mark.parametrize("text", ["1e0", "1E0", "10e-1", "1_0", "inf", "0x1", ""])
+    def test_exponent_and_other_strings_refused(self, text):
+        with pytest.raises(ValueError, match="plain decimal"):
+            GroupElement(text, 0, 0, 1)
+
+    def test_plain_strings_accepted(self):
+        g = GroupElement.from_json_dict({"a": "1.5", "b": "+1/2", "c": " 1 ", "e": "1"})
+        assert (g.a, g.b, g.c, g.e) == (Fraction(3, 2), Fraction(1, 2), 1, 1)
 
     def test_random_elements_have_det_one(self):
         rng = random.Random(11)
@@ -157,3 +175,117 @@ class TestIsInvariant:
         w2 = default_witnesses(7, 5)
         assert w1 == w2
         assert default_witnesses(8, 5) != w1
+        assert w1 == (SHEAR_UPPER, SHEAR_LOWER, SCALE_TWO) + random_witnesses(7, 5)
+
+
+def matrix_log(rows):
+    """log of a unipotent matrix: the finite series sum (-1)^(n+1) U^n / n."""
+    size = len(rows)
+    u = [[rows[i][j] - (i == j) for j in range(size)] for i in range(size)]
+    power = [[Fraction(i == j) for j in range(size)] for i in range(size)]
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for n in range(1, size + 1):
+        power = [[sum(power[i][k] * u[k][j] for k in range(size)) for j in range(size)]
+                 for i in range(size)]
+        for i in range(size):
+            for j in range(size):
+                out[i][j] += Fraction((-1) ** (n + 1), n) * power[i][j]
+    return out
+
+
+def random_polynomial(data, d, m, invariant):
+    """A random rational combination of basis elements; unless ``invariant``,
+    plus a few random terms."""
+    terms = {}
+    for poly in noncrossing_basis(m, d):
+        c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        for word, coeff in poly.terms.items():
+            terms[word] = terms.get(word, 0) + c * coeff
+    if not invariant:
+        words = st.tuples(*[st.integers(0, d)] * m)
+        extra = data.draw(st.dictionaries(words, st.integers(-2, 2), min_size=1, max_size=3))
+        for word, c in extra.items():
+            terms[word] = terms.get(word, 0) + c
+    return NcPolynomial(d, m, terms)
+
+
+class TestCertificate:
+    """is_invariant with no witnesses: annihilation by both shear derivations."""
+
+    @pytest.mark.parametrize("d", range(6))
+    def test_derivations_are_logarithms_of_the_shears(self, d):
+        # act substitutes rows of M_d(g^-1); the derivation must be its log.
+        for g, step in ((SHEAR_UPPER, 1), (SHEAR_LOWER, -1)):
+            log = matrix_log(sym_power(g.inverse(), d).entries)
+            for k in range(d + 1):
+                image = _shear_image(NcPolynomial(d, 1, {(k,): 1}), step)
+                assert image == {(j,): log[k][j] for j in range(d + 1) if log[k][j]}
+
+    @given(st.data(), st.sampled_from(md_pairs(8) + [(3, 0), (0, 3), (1, 2)]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_shear_witnesses(self, data, md, invariant):
+        m, d = md
+        poly = random_polynomial(data, d, m, invariant)
+        expected = is_invariant(poly, (SHEAR_UPPER, SHEAR_LOWER))
+        assert is_invariant(poly) == expected
+        if invariant:
+            assert expected
+
+    def test_rejects_leading_term_bump(self):
+        for m, d in md_pairs(12):
+            for poly in noncrossing_basis(m, d):
+                assert is_invariant(poly), (m, d)
+                bumped = poly + NcPolynomial(d, m, {leading_term(poly): 1})
+                assert not is_invariant(bumped), (m, d)
+
+    def test_degree_zero(self):
+        # Sym^0 is the trivial representation: every polynomial is invariant.
+        poly = NcPolynomial(0, 3, {(0, 0, 0): Fraction(-5, 3)})
+        assert is_invariant(poly)
+        assert noncrossing_basis(3, 0) == [NcPolynomial(0, 3, {(0, 0, 0): 1})]
+        assert is_invariant(noncrossing_basis(3, 0)[0])
+
+    def test_word_length_zero(self):
+        for d in range(4):
+            assert is_invariant(NcPolynomial(d, 0, {(): Fraction(2, 7)}))
+            assert is_invariant(NcPolynomial(d, 0, {}))
+        assert noncrossing_basis(0, 3) == [NcPolynomial(3, 0, {(): 1})]
+
+    def test_zero_polynomial(self):
+        assert is_invariant(NcPolynomial(2, 4, {}))
+
+    def test_witnesses_still_go_through_act(self, monkeypatch):
+        calls = []
+        real_act = act
+
+        def counting_act(g, poly):
+            calls.append(g)
+            return real_act(g, poly)
+
+        monkeypatch.setattr("ncinv.group_action.act", counting_act)
+        disc = noncrossing_basis(2, 2)[0]
+        assert is_invariant(disc)
+        assert calls == []
+        assert is_invariant(disc, (SCALE_TWO, SHEAR_UPPER))
+        assert calls == [SCALE_TWO, SHEAR_UPPER]
+
+    def test_rejects_bump_under_optimize(self):
+        # The certificate is a plain return value, not an assert: python -O
+        # must not turn a rejection into a pass.
+        script = (
+            "import sys\n"
+            "assert False, 'asserts are on'\n"
+            "from ncinv.group_action import is_invariant\n"
+            "from ncinv.symbolic import NcPolynomial, noncrossing_basis\n"
+            "disc = noncrossing_basis(2, 2)[0]\n"
+            "bumped = disc + NcPolynomial(2, 2, {(2, 0): 1})\n"
+            "print('plain', is_invariant(disc), 'bumped', is_invariant(bumped))\n"
+            "print('optimize', sys.flags.optimize)\n"
+        )
+        src = str(Path(ncinv.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "plain True bumped False" in done.stdout
+        assert "optimize 1" in done.stdout

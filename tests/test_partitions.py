@@ -17,6 +17,7 @@ from ncinv.partitions import (
     is_irreducible,
     is_m_partite,
     is_noncrossing,
+    iter_nc_blocks,
     kernel,
     leq,
     meet,
@@ -115,6 +116,24 @@ class TestEnumeration:
 
     def test_n_zero(self):
         assert enumerate_nc(0) == [SetPartition(0, ())]
+        assert list(iter_nc_blocks(0)) == [()]
+
+    def test_raw_walk_sorted_and_complete(self):
+        for n in range(1, 11):
+            walk = list(iter_nc_blocks(n))
+            assert len(walk) == catalan(n)
+            assert all(a < b for a, b in zip(walk, walk[1:]))
+            assert all(is_noncrossing(SetPartition(n, blocks)) for blocks in walk)
+
+    def test_elements_equal_validated_partitions(self):
+        # enumerate_nc skips re-validation; its elements must still be the
+        # canonical partitions the constructor would build.
+        for n in range(8):
+            for p in enumerate_nc(n):
+                checked = SetPartition(n, p.blocks)
+                assert p == checked and hash(p) == hash(checked)
+                assert type(p) is SetPartition and p.n == n
+                assert p.block_index == checked.block_index
 
     def test_pairings_small(self):
         assert [p.blocks for p in enumerate_nc_pairings(4)] == [

@@ -57,6 +57,18 @@ class TestNcPolynomial:
         assert disc.pretty() == "a2·a0 - 2·a1·a1 + a0·a2"
         assert NcPolynomial(2, 0, {(): Fraction(3, 4)}).pretty() == "3/4"
 
+    @pytest.mark.parametrize("terms, d, m, text", [
+        ({(): 1}, 2, 0, "1"),
+        ({(): -1}, 2, 0, "-1"),
+        ({(): Fraction(-3, 4)}, 2, 0, "-3/4"),
+        ({(1, 0): Fraction(-3, 2), (0, 1): Fraction(1, 2)}, 1, 2, "-3/2·a1·a0 + 1/2·a0·a1"),
+        ({(3,): -1, (2,): 1, (0,): Fraction(7, 3)}, 3, 1, "-a3 + a2 + 7/3·a0"),
+        ({(0, 0): -1}, 1, 2, "-a0·a0"),
+        ({(11, 0): Fraction(-10, 3), (10, 1): 1}, 11, 2, "-10/3·a11·a0 + a10·a1"),
+    ])
+    def test_pretty_signs_and_magnitudes(self, terms, d, m, text):
+        assert NcPolynomial(d, m, terms).pretty() == text
+
     def test_json_round_trip(self):
         p = NcPolynomial(2, 2, {(2, 0): Fraction(1, 3), (0, 2): -1})
         assert NcPolynomial.from_json_dict(p.to_json_dict()) == p
@@ -94,6 +106,40 @@ class TestRestitution:
     def test_empty_product(self):
         got = restitution(BracketMonomial(0, 2, (), 1))
         assert got == NcPolynomial(2, 0, {(): 1})
+        assert restitution(BracketMonomial(3, 0, (), -1)) == NcPolynomial(0, 3, {(0, 0, 0): -1})
+
+    @pytest.mark.parametrize("d", [255, 256, 300])
+    def test_letters_past_one_byte(self, d):
+        got = restitution(BracketMonomial(2, d, nested_pairing(d), 1))
+        want = {(d - k, k): Fraction((-1) ** k * comb(d, k)) for k in range(d + 1)}
+        assert got == NcPolynomial(d, 2, want)
+
+    def test_built_terms_are_valid_fractions(self):
+        # restitution skips re-validation; its output must be what the
+        # validating constructor would keep.
+        for m, d in md_pairs(8):
+            for poly in noncrossing_basis(m, d):
+                assert NcPolynomial(poly.d, poly.m, poly.terms) == poly
+                assert all(type(c) is Fraction and c for c in poly.terms.values())
+                assert all(type(w) is tuple and len(w) == m for w in poly.terms)
+
+    def test_expression_with_rational_coefficients(self):
+        monos = [BracketMonomial(4, 2, chords, 1) for chords in (
+            ((1, 3), (2, 5), (4, 7), (6, 8)),
+            ((1, 8), (2, 7), (3, 6), (4, 5)),
+            ((1, 4), (2, 3), (5, 8), (6, 7)),
+        )]
+        coeffs = [Fraction(1, 6), Fraction(-3, 4), Fraction(5, 2)]
+        e = BracketExpression(4, 2, {b.chords: c for b, c in zip(monos, coeffs)})
+        want = NcPolynomial(2, 4, {})
+        for b, c in zip(monos, coeffs):
+            want = want + c * restitution(b)
+        assert restitution(e) == want
+        # A crossing minus its two Pluecker resolutions restitutes to zero.
+        crossing = {((1, 3), (2, 4)): Fraction(1, 3), ((1, 2), (3, 4)): Fraction(-1, 3),
+                    ((1, 4), (2, 3)): Fraction(-1, 3)}
+        assert restitution(BracketExpression(4, 1, crossing)).is_zero()
+        assert restitution(BracketExpression(4, 2, {})) == NcPolynomial(2, 4, {})
 
 
 class TestLeadingTerm:
