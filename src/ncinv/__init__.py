@@ -7,7 +7,6 @@ from .brackets import (
     VanishingBracketError,
     from_pairs,
     pluecker_step,
-    straighten_step,
     to_noncrossing,
 )
 from .freeprob import (

@@ -2,10 +2,12 @@
 
 A monomial is a product of brackets <y_i y_j>, one slot pair per chord of a
 pair partition of [md] (slot (i-1)d+k is the k-th occurrence of the symbol
-y_i).  Chords are stored with each pair increasing and the antisymmetry sign
-folded into a single +-1 on the monomial, so the rewriting loop never touches
-orientation.  Expressions keep exact Fraction coefficients on sign-stripped
-canonical monomials.
+y_i, so its symbol is ``partitions.window_of(slot, d)``).  Chords are stored
+with each pair increasing and sorted, and the antisymmetry sign folded into
+a single +-1 on the monomial, so the rewriting loop never touches
+orientation.  Expressions keep exact Fraction coefficients on the same
+canonical chord tuples.  Crossings are found by
+``partitions.crossing_quads``.
 
 Rewriting replaces a crossing chord pair by the disjoint plus the nested
 resolution; the total crossing count drops in every branch, which is checked
@@ -15,56 +17,28 @@ runtime-checked invariant.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._rational import parse_rational
+from ._rational import json_field, json_int, json_list, json_rational
+from .partitions import crossing_quads, window_of
 
 
 class VanishingBracketError(ValueError):
     """Raised for a vanishing bracket pairing two slots of one symbol."""
 
 
-def _interval(slot: int, d: int) -> int:
-    return (slot - 1) // d
+def _canonical(chords) -> tuple[tuple[int, int], ...]:
+    """Chords with each pair increasing, sorted by first slot."""
+    return tuple(sorted(tuple(sorted(pair)) for pair in chords))
 
 
-def _total_crossings(chords) -> int:
-    count = 0
-    for (a, b), (c, e) in itertools.combinations(chords, 2):
-        if a < c < b < e or c < a < e < b:
-            count += 1
-    return count
-
-
-def _crossings_between(chords, others) -> int:
-    """Crossing pairs made of one chord of ``chords`` and one of ``others``."""
-    return sum(1 for a, b in chords for c, e in others if a < c < b < e or c < a < e < b)
-
-
-def _crossing_quads(chords) -> list[tuple[int, int, int, int]]:
-    """All quadruples (i, i', j, j') of crossing chord pairs {i,j}, {i',j'}."""
-    quads = []
-    for (a, b), (c, e) in itertools.combinations(chords, 2):
-        if a < c < b < e:
-            quads.append((a, c, b, e))
-        elif c < a < e < b:
-            quads.append((c, a, e, b))
-    quads.sort()
-    return quads
-
-
-def _nesting_quads(chords) -> list[tuple[int, int, int, int]]:
-    """All quadruples (i, i', j', j) of nested chord pairs {i,j} > {i',j'}."""
-    quads = []
-    for (a, b), (c, e) in itertools.combinations(chords, 2):
-        if a < c < e < b:
-            quads.append((a, c, e, b))
-        elif c < a < b < e:
-            quads.append((c, a, b, e))
-    quads.sort()
-    return quads
+def _crossings_involving(pair, rest) -> int:
+    """Crossing chord pairs with a chord of ``pair``: the two chords of pair
+    against each other and each of them against every chord of ``rest``."""
+    first, second = pair
+    return sum(1 for (a, b), others in ((first, (second,) + rest), (second, rest))
+               for c, e in others if a < c < b < e or c < a < e < b)
 
 
 @dataclass(frozen=True)
@@ -81,27 +55,27 @@ class BracketMonomial:
             raise ValueError("m and d must be nonnegative")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        chords = tuple(sorted(tuple(sorted(pair)) for pair in self.chords))
+        chords = _canonical(self.chords)
         object.__setattr__(self, "chords", chords)
         n = self.m * self.d
         support = sorted(x for pair in chords for x in pair)
         if len(support) != n or support != list(range(1, n + 1)):
             raise ValueError(f"chords do not form a perfect matching of 1..{n}")
         for p, q in chords:
-            if p == q or _interval(p, self.d) == _interval(q, self.d):
+            if window_of(p, self.d) == window_of(q, self.d):
                 raise VanishingBracketError(
                     f"vanishing bracket: slots {p},{q} belong to one symbol"
                 )
 
     def interval(self, slot: int) -> int:
         """0-based index of the symbol owning a slot."""
-        return _interval(slot, self.d)
+        return window_of(slot, self.d)
 
     def crossing_count(self) -> int:
-        return _total_crossings(self.chords)
+        return sum(1 for _ in crossing_quads(self.chords))
 
     def is_noncrossing(self) -> bool:
-        return self.crossing_count() == 0
+        return next(crossing_quads(self.chords), None) is None
 
 
 def from_pairs(m: int, d: int, pairs) -> BracketMonomial:
@@ -119,8 +93,10 @@ def from_pairs(m: int, d: int, pairs) -> BracketMonomial:
 class BracketExpression:
     """Exact rational combination of canonical bracket monomials.
 
-    Keys of ``terms`` are canonical chord tuples; monomial signs live in the
-    coefficients.  Zero coefficients are dropped.
+    Keys of ``terms`` are chord tuples, canonicalised on construction like
+    ``BracketMonomial.chords`` (each pair increasing, pairs sorted); the
+    coefficients of keys that agree once canonical are summed.  Monomial
+    signs live in the coefficients.  Zero coefficients are dropped.
     """
 
     __slots__ = ("m", "d", "terms")
@@ -128,12 +104,11 @@ class BracketExpression:
     def __init__(self, m: int, d: int, terms=None):
         self.m = m
         self.d = d
-        clean: dict[tuple, Fraction] = {}
+        summed: dict[tuple, Fraction] = {}
         for chords, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                clean[chords] = c
-        self.terms = clean
+            key = _canonical(chords)
+            summed[key] = summed.get(key, 0) + Fraction(coeff)
+        self.terms = {chords: c for chords, c in summed.items() if c}
 
     @classmethod
     def from_monomial(cls, b: BracketMonomial) -> "BracketExpression":
@@ -145,7 +120,7 @@ class BracketExpression:
             yield BracketMonomial(self.m, self.d, chords, 1), self.terms[chords]
 
     def is_noncrossing(self) -> bool:
-        return all(_total_crossings(ch) == 0 for ch in self.terms)
+        return all(next(crossing_quads(ch), None) is None for ch in self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BracketExpression):
@@ -176,49 +151,25 @@ class BracketExpression:
     @classmethod
     def from_json_dict(cls, data) -> "BracketExpression":
         """Parse the JSON form; a missing or mistyped field raises ValueError."""
-        m, d = _json_int(_json_field(data, "m"), "m"), _json_int(_json_field(data, "d"), "d")
+        m, d = json_int(json_field(data, "m"), "m"), json_int(json_field(data, "d"), "d")
         if m < 0 or d < 0:
             raise ValueError("m and d must be nonnegative")
-        entries = _json_field(data, "terms")
-        if not isinstance(entries, list):
-            raise ValueError("terms must be a list")
+        entries = json_list(data, "terms")
         terms: dict[tuple, Fraction] = {}
         for entry in entries:
-            chords = _json_field(entry, "chords")
+            chords = json_field(entry, "chords")
             if not isinstance(chords, list) or not all(
                 isinstance(pair, list) and len(pair) == 2 for pair in chords
             ):
                 raise ValueError("chords must be a list of slot pairs [p, q]")
-            pairs = [tuple(_json_int(x, "chord slot") for x in pair) for pair in chords]
-            sign = _json_int(entry.get("sign", 1), "sign")
+            pairs = [tuple(json_int(x, "chord slot") for x in pair) for pair in chords]
+            sign = json_int(entry.get("sign", 1), "sign")
             if sign not in (1, -1):
                 raise ValueError(f"sign must be 1 or -1, got {sign}")
             mono = from_pairs(m, d, pairs)
-            coeff = _json_coeff(_json_field(entry, "coeff")) * sign * mono.sign
+            coeff = json_rational(json_field(entry, "coeff"), "coefficient") * sign * mono.sign
             terms[mono.chords] = terms.get(mono.chords, Fraction(0)) + coeff
         return cls(m, d, terms)
-
-
-def _json_field(data, key: str):
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object with a {key!r} field")
-    if key not in data:
-        raise ValueError(f"missing field {key!r}")
-    return data[key]
-
-
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _json_coeff(value) -> Fraction:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value, "coefficient")
-    raise ValueError(f'coefficient must be an integer or a string such as "2/3", got {value!r}')
 
 
 def _resolve_crossing(m: int, d: int, chords, quad) -> list[tuple]:
@@ -230,14 +181,14 @@ def _resolve_crossing(m: int, d: int, chords, quad) -> list[tuple]:
     rest = tuple(ch for ch in chords if ch not in old_pair)
     # Only crossings that involve a replaced chord change, so the strict
     # decrease is decided by the two pairs against the rest and themselves.
-    removed = _total_crossings(old_pair) + _crossings_between(old_pair, rest)
+    removed = _crossings_involving(old_pair, rest)
     out = []
     for new_pair in (((i, ii), (j, jj)), ((i, jj), (ii, j))):
-        if any(_interval(p, d) == _interval(q, d) for p, q in new_pair):
+        if any(window_of(p, d) == window_of(q, d) for p, q in new_pair):
             continue
-        added = _total_crossings(new_pair) + _crossings_between(new_pair, rest)
+        added = _crossings_involving(new_pair, rest)
         if added >= removed:
-            before = _total_crossings(chords)
+            before = sum(1 for _ in crossing_quads(chords))
             raise RuntimeError(
                 f"rewriting would not terminate: resolving {quad} left "
                 f"{before - removed + added} crossings, not fewer than {before}"
@@ -253,30 +204,12 @@ def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
     The crossing {i,j},{i',j'} with i<i'<j<j' becomes {i,i'},{j,j'} plus
     {i,j'},{i',j}; a resolution chord inside one symbol vanishes.
     """
-    quads = _crossing_quads(b.chords)
-    if not quads:
+    quad = next(crossing_quads(b.chords), None)
+    if quad is None:
         return None
     terms: dict[tuple, Fraction] = {}
-    for resolved in _resolve_crossing(b.m, b.d, b.chords, quads[0]):
+    for resolved in _resolve_crossing(b.m, b.d, b.chords, quad):
         terms[resolved] = terms.get(resolved, Fraction(0)) + Fraction(b.sign)
-    return BracketExpression(b.m, b.d, terms)
-
-
-def straighten_step(b: BracketMonomial) -> BracketExpression | None:
-    """Resolve the smallest nesting of b (crossing minus disjoint), or None
-    when no chord pair is nested.  Provided for comparison with the
-    crossing-removal route; not used by the basis construction."""
-    quads = _nesting_quads(b.chords)
-    if not quads:
-        return None
-    i, ii, jj, j = quads[0]
-    rest = tuple(ch for ch in b.chords if ch != (i, j) and ch != (ii, jj))
-    terms: dict[tuple, Fraction] = {}
-    for new_pair, coeff in ((((i, jj), (ii, j)), 1), (((i, ii), (jj, j)), -1)):
-        if any(_interval(p, b.d) == _interval(q, b.d) for p, q in new_pair):
-            continue
-        resolved = tuple(sorted(rest + new_pair))
-        terms[resolved] = terms.get(resolved, Fraction(0)) + Fraction(coeff * b.sign)
     return BracketExpression(b.m, b.d, terms)
 
 
@@ -296,11 +229,14 @@ def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> 
         chords, coeff = pending.popitem()
         if not coeff:
             continue
-        quads = _crossing_quads(chords)
-        if not quads:
+        if strategy == "lex":
+            quad = next(crossing_quads(chords), None)
+        else:
+            quads = list(crossing_quads(chords))
+            quad = rng.choice(quads) if quads else None
+        if quad is None:
             out[chords] = out.get(chords, Fraction(0)) + coeff
             continue
-        quad = quads[0] if strategy == "lex" else rng.choice(quads)
         for resolved in _resolve_crossing(e.m, e.d, chords, quad):
             pending[resolved] = pending.get(resolved, Fraction(0)) + coeff
     return BracketExpression(e.m, e.d, out)

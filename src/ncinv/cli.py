@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="quadrature panels (default 256)")
     p_hil.add_argument("--format", choices=("text", "csv", "json"), default=None,
                        help="default: text for single methods, csv for all")
-    p_hil.add_argument("--precision", type=int, default=12,
+    p_hil.add_argument("--precision", type=_nonneg, default=12,
                        help="significant digits for quadrature output")
     _add_cache_flags(p_hil)
 

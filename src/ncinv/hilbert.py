@@ -118,7 +118,7 @@ def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
     ``partitions.count_m_partite_nc_pairings`` uses)."""
     if d < 0 or max_m < 0:
         raise ValueError("d and max_m must be nonnegative")
-    dims = tuple(sum(1 for _ in _iter_nc_matchings(m * d, max(d, 1)))
+    dims = tuple(sum(1 for _ in _iter_nc_matchings(m * d, d))
                  for m in range(max_m + 1))
     return DimensionSeries(d, dims, "enumeration")
 

@@ -69,9 +69,6 @@ class SetPartition:
         """Element -> index of its block in the canonical block list."""
         return {x: i for i, block in enumerate(self.blocks) for x in block}
 
-    def block_of(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self.block_index[x]]
-
     def same_block(self, x: int, y: int) -> bool:
         return self.block_index[x] == self.block_index[y]
 
@@ -173,20 +170,31 @@ def is_noncrossing(p: SetPartition) -> bool:
     return True
 
 
+def crossing_quads(chords):
+    """Yield every quadruple (i, i', j, j') with i < i' < j < j' such that
+    {i, j} and {i', j'} are chords, in lexicographic order.
+
+    ``chords`` must be increasing pairs sorted by their first element.  The
+    order is lexicographic when no two chords share an endpoint (a matching).
+    """
+    for k, (i, j) in enumerate(chords):
+        for ii, jj in chords[k + 1:]:
+            if ii >= j:
+                break
+            if i < ii and j < jj:
+                yield i, ii, j, jj
+
+
 def crossing_count(p: SetPartition) -> int:
     """Number of quadruples i < i' < j < j' with i ~ j, i' ~ j', i not~ i'."""
-    chords = [
-        (a, b, bid)
-        for bid, block in enumerate(p.blocks)
-        for a, b in itertools.combinations(block, 2)
-    ]
-    count = 0
-    for (a, b, ba), (c, d, bc) in itertools.combinations(chords, 2):
-        if ba == bc:
-            continue
-        if a < c < b < d or c < a < d < b:
-            count += 1
-    return count
+    chords = sorted(pair for block in p.blocks for pair in itertools.combinations(block, 2))
+    idx = p.block_index
+    return sum(1 for i, ii, _j, _jj in crossing_quads(chords) if idx[i] != idx[ii])
+
+
+def window_of(x: int, d: int) -> int:
+    """0-based index of the window {kd+1, ..., (k+1)d} holding position x."""
+    return (x - 1) // d
 
 
 def iter_nc_blocks(n: int):
@@ -281,6 +289,7 @@ def _iter_nc_matchings(n: int, interval_size: int = 1):
     while True:
         if t > n:
             yield tuple(zip(openers, closers))
+        # Window test inlined, not window_of: this is the enumeration hot loop.
         elif (may_close and stack
               and (openers[stack[-1]] - 1) // interval_size != (t - 1) // interval_size):
             i = stack.pop()
@@ -330,8 +339,8 @@ def is_m_partite(p: SetPartition, d: int) -> bool:
     if p.n % d:
         raise ValueError(f"ground set size {p.n} not divisible by interval size {d}")
     for block in p.blocks:
-        intervals = [(x - 1) // d for x in block]
-        if len(set(intervals)) != len(intervals):
+        windows = [window_of(x, d) for x in block]
+        if len(set(windows)) != len(windows):
             return False
     return True
 
@@ -340,7 +349,7 @@ def enumerate_m_partite_nc_pairings(m: int, d: int) -> list[PairPartition]:
     """All noncrossing pair partitions of [md] that are m-partite for
     interval size d; empty when md is odd."""
     n = m * d
-    return [PairPartition(n, ch) for ch in sorted(_iter_nc_matchings(n, max(d, 1)))]
+    return [PairPartition(n, ch) for ch in sorted(_iter_nc_matchings(n, d))]
 
 
 def count_m_partite_nc_pairings(m: int, d: int) -> int:

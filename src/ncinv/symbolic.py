@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .brackets import BracketExpression, BracketMonomial, _total_crossings
+from ._rational import json_field, json_int, json_list, json_rational
+from .brackets import BracketExpression, BracketMonomial
 from .partitions import _iter_nc_matchings
 
 
@@ -115,12 +116,16 @@ class NcPolynomial:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "NcPolynomial":
-        return cls(
-            int(data["d"]),
-            int(data["m"]),
-            {tuple(t["word"]): Fraction(t["coeff"]) for t in data["terms"]},
-        )
+    def from_json_dict(cls, data) -> "NcPolynomial":
+        """Parse the JSON form; a missing or mistyped field raises ValueError.
+        Coefficients of repeated words are summed."""
+        d, m = json_int(json_field(data, "d"), "d"), json_int(json_field(data, "m"), "m")
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for entry in json_list(data, "terms"):
+            word = tuple(json_int(k, "letter") for k in json_list(entry, "word"))
+            coeff = json_rational(json_field(entry, "coeff"), "coefficient")
+            terms[word] = terms.get(word, Fraction(0)) + coeff
+        return cls(d, m, terms)
 
 
 def _expand(b: BracketMonomial) -> dict[int, int]:
@@ -199,7 +204,7 @@ def leading_term(poly: NcPolynomial) -> tuple[int, ...]:
 def predicted_leading_word(b: BracketMonomial) -> tuple[int, ...]:
     """For a noncrossing monomial, the word whose k-th letter counts the
     chords leaving interval k to a strictly later interval."""
-    if _total_crossings(b.chords):
+    if not b.is_noncrossing():
         raise ValueError("leading word prediction needs a noncrossing monomial")
     counts = [0] * b.m
     for p, _q in b.chords:
@@ -213,7 +218,7 @@ def noncrossing_basis(m: int, d: int) -> list[NcPolynomial]:
     of the invariant m-linear forms.  Empty when m*d is odd."""
     return [
         restitution(BracketMonomial(m, d, chords, 1))
-        for chords in sorted(_iter_nc_matchings(m * d, max(d, 1)))
+        for chords in sorted(_iter_nc_matchings(m * d, d))
     ]
 
 

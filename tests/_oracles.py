@@ -53,7 +53,9 @@ def all_perfect_matchings(n: int):
     yield from rec(elements)
 
 
-def _crossing_quadruples(blocks):
+def iter_crossing_quadruples(blocks):
+    """Yield, in lexicographic order, every quadruple i<i'<j<j' with i~j,
+    i'~j', i not~ i', straight from the definition."""
     owner = {x: bid for bid, block in enumerate(blocks) for x in block}
     n = sum(len(b) for b in blocks)
     for a, b, c, d in itertools.combinations(range(1, n + 1), 4):
@@ -64,11 +66,11 @@ def _crossing_quadruples(blocks):
 def brute_crossing_quadruples(blocks) -> int:
     """Count quadruples i<i'<j<j' with i~j, i'~j', i not~ i', straight from
     the definition."""
-    return sum(1 for _ in _crossing_quadruples(blocks))
+    return sum(1 for _ in iter_crossing_quadruples(blocks))
 
 
 def brute_is_noncrossing(blocks) -> bool:
-    return next(_crossing_quadruples(blocks), None) is None
+    return next(iter_crossing_quadruples(blocks), None) is None
 
 
 @functools.cache

@@ -14,16 +14,20 @@ from ncinv.brackets import (
     BracketExpression,
     BracketMonomial,
     VanishingBracketError,
-    _crossing_quads,
     _resolve_crossing,
     from_pairs,
     pluecker_step,
-    straighten_step,
     to_noncrossing,
 )
+from ncinv.partitions import PairPartition, crossing_count, crossing_quads
 from ncinv.symbolic import restitution
 
-from _oracles import all_perfect_matchings, blocks_are_m_partite, brute_crossing_quadruples
+from _oracles import (
+    all_perfect_matchings,
+    blocks_are_m_partite,
+    brute_crossing_quadruples,
+    iter_crossing_quadruples,
+)
 
 
 def all_monomials(m, d):
@@ -109,32 +113,22 @@ class TestPlueckerStep:
                     assert term.crossing_count() < before
 
 
-class TestStraightenStep:
-    def test_nesting_resolution(self):
-        e = straighten_step(BracketMonomial(4, 1, ((1, 4), (2, 3)), 1))
-        assert e.terms == {
-            ((1, 3), (2, 4)): Fraction(1),
-            ((1, 2), (3, 4)): Fraction(-1),
-        }
+class TestCrossings:
+    def test_enumerator_matches_the_definition(self):
+        # Every crossing quadruple, in lexicographic order, on every
+        # m-partite matching with md <= 10.
+        for m, d in md_cases(10):
+            for mono in all_monomials(m, d):
+                want = list(iter_crossing_quadruples(mono.chords))
+                assert list(crossing_quads(mono.chords)) == want
+                assert want == sorted(want)
 
-    def test_no_nesting_returns_none(self):
-        assert straighten_step(BracketMonomial(4, 1, ((1, 2), (3, 4)), 1)) is None
-
-    def test_double_nesting(self):
-        mono = BracketMonomial(6, 1, ((1, 6), (2, 5), (3, 4)), 1)
-
-        def nestings(chords):
-            count = 0
-            import itertools
-            for (a, b), (c, e) in itertools.combinations(chords, 2):
-                if a < c < e < b or c < a < b < e:
-                    count += 1
-            return count
-
-        before = nestings(mono.chords)
-        out = straighten_step(mono)
-        for term, _ in out.monomials():
-            assert nestings(term.chords) < before
+    def test_monomial_count_matches_partition_count(self):
+        for m, d in md_cases(10):
+            for mono in all_monomials(m, d):
+                count = crossing_count(PairPartition(m * d, mono.chords))
+                assert mono.crossing_count() == count
+                assert mono.is_noncrossing() == (count == 0)
 
 
 class TestToNoncrossing:
@@ -175,6 +169,23 @@ class TestToNoncrossing:
         e = BracketExpression.from_monomial(BracketMonomial(4, 1, ((1, 3), (2, 4)), 1))
         with pytest.raises(ValueError):
             to_noncrossing(e, strategy="random")
+
+    def test_noncanonical_keys_are_canonicalised(self):
+        twisted = BracketExpression(4, 1, {((2, 4), (1, 3)): 1})
+        canonical = BracketExpression(4, 1, {((1, 3), (2, 4)): 1})
+        assert twisted == canonical
+        assert not twisted.is_noncrossing()
+        assert to_noncrossing(twisted) == to_noncrossing(canonical)
+        assert to_noncrossing(twisted).terms == {
+            ((1, 2), (3, 4)): Fraction(1),
+            ((1, 4), (2, 3)): Fraction(1),
+        }
+
+    def test_keys_equal_once_canonical_are_merged(self):
+        e = BracketExpression(4, 1, {((2, 4), (1, 3)): 1, ((1, 3), (2, 4)): Fraction(1, 2)})
+        assert e.terms == {((1, 3), (2, 4)): Fraction(3, 2)}
+        e = BracketExpression(4, 1, {((2, 4), (1, 3)): 1, ((1, 3), (2, 4)): -1})
+        assert e.terms == {}
 
     def test_linear_combination(self):
         e = BracketExpression(
@@ -260,18 +271,18 @@ class TestTerminationCheck:
         # result in full, for every crossing (not only the first).
         for mono in all_monomials(m, d):
             before = brute_crossing_quadruples(mono.chords)
-            for quad in _crossing_quads(mono.chords):
+            for quad in crossing_quads(mono.chords):
                 for resolved in _resolve_crossing(m, d, mono.chords, quad):
                     assert brute_crossing_quadruples(resolved) < before
 
     def test_active_under_optimize(self):
-        # Make every crossing count read 0 so no resolution can lower it; the
-        # check must still fire with asserts stripped by -O.
+        # Make every count of changed crossings read 0 so no resolution can
+        # lower it; the check must still fire with asserts stripped by -O.
         script = (
             "import sys\n"
             "assert False, 'asserts are on'\n"
             "from ncinv import brackets\n"
-            "brackets._total_crossings = lambda chords: 0\n"
+            "brackets._crossings_involving = lambda pair, rest: 0\n"
             "try:\n"
             "    brackets._resolve_crossing(4, 1, ((1, 3), (2, 4)), (1, 2, 3, 4))\n"
             "except RuntimeError as exc:\n"

@@ -106,6 +106,14 @@ class TestHilbert:
         assert len(lines) == 6
         assert lines[3].startswith("2,1,1,")
 
+    def test_negative_precision_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hilbert", "--d", "2", "--max-m", "3", "--method", "quadrature",
+                  "--precision", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--precision" in err and "nonnegative" in err
+
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "hilbert", "--d", "1", "--max-m", "4",

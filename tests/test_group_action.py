@@ -55,6 +55,29 @@ class TestGroupElement:
         assert g.a * g.e - g.b * g.c == 1
         assert GroupElement.from_json_dict(g.to_json_dict()) == g
 
+    def test_json_round_trip_of_random_elements(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            g = random_group_element(rng)
+            assert GroupElement.from_json_dict(g.to_json_dict()) == g
+        assert GroupElement.from_json_dict({"a": 1, "b": 0, "c": 1, "e": 1}) == SHEAR_LOWER
+
+    @pytest.mark.parametrize("data, message", [
+        ([1, 0, 0, 1], "JSON object"),
+        ({"b": "0", "c": "0", "e": "1"}, "missing field 'a'"),
+        ({"a": "1", "b": "0", "c": "0"}, "missing field 'e'"),
+        ({"a": None, "b": "0", "c": "0", "e": "1"}, "entry a"),
+        ({"a": 1.0, "b": 0, "c": 0, "e": 1}, "entry a"),
+        ({"a": 1, "b": 0.5, "c": 0, "e": 1}, "entry b"),
+        ({"a": True, "b": 0, "c": 0, "e": 1}, "entry a"),
+        ({"a": "1", "b": "0", "c": "1e3", "e": "1"}, "entry c"),
+        ({"a": "1", "b": "0", "c": "0", "e": [1]}, "entry e"),
+        ({"a": "2", "b": "0", "c": "0", "e": "1"}, "determinant"),
+    ])
+    def test_json_malformed_rejected(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            GroupElement.from_json_dict(data)
+
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             GroupElement.from_json_dict({"a": "1/0", "b": "0", "c": "0", "e": "1"})
