@@ -14,7 +14,6 @@ from .freeprob import (
     MomentSequence,
     cumulants_from_moments,
     moments_from_cumulants,
-    partitioned_moment,
     psi_mixed_moment,
     psi_orthogonality,
 )
@@ -47,13 +46,9 @@ from .partitions import (
     crossing_count,
     enumerate_m_partite_nc_pairings,
     enumerate_nc,
-    enumerate_nc_pairings,
-    is_irreducible,
     is_m_partite,
     is_noncrossing,
-    kernel,
     leq,
-    meet,
     nc_moebius,
     one_partition,
     thicken,
@@ -64,7 +59,6 @@ from .symbolic import (
     NcPolynomial,
     leading_term,
     noncrossing_basis,
-    polarize,
     predicted_leading_word,
     restitution,
 )

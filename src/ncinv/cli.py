@@ -159,7 +159,10 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_rewrite(args) -> int:
     with open(args.expression_file, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON nesting is too deep to parse") from None
     expr = BracketExpression.from_json_dict(data)
     print(json.dumps(to_noncrossing(expr).to_json_dict()))
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rational import as_rational
-from .partitions import IntervalPartition, SetPartition
+from .partitions import IntervalPartition
 
 
 @dataclass(frozen=True)
@@ -143,15 +143,6 @@ def cumulants_from_moments(m: MomentSequence, n: int) -> CumulantSequence:
     for k, rest in enumerate(_first_block_sums(m.values, cums, n), start=1):
         cums.append(m[k] - rest)
     return CumulantSequence.from_table(cums)
-
-
-def partitioned_moment(pi: SetPartition, m: MomentSequence) -> Fraction:
-    """prod over blocks B of pi of m_|B| (one identically distributed
-    variable in every slot)."""
-    out = Fraction(1)
-    for block in pi.blocks:
-        out *= m[len(block)]
-    return out
 
 
 def psi_mixed_moment(k, c: CumulantSequence) -> Fraction:

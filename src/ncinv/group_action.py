@@ -25,7 +25,7 @@ from ._rational import as_rational, json_field, json_rational
 from .symbolic import NcPolynomial
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class GroupElement:
     """A 2x2 rational matrix [[a, b], [c, e]] with determinant exactly 1."""
 
@@ -39,14 +39,6 @@ class GroupElement:
             object.__setattr__(self, name, as_rational(getattr(self, name), f"entry {name}"))
         if self.a * self.e - self.b * self.c != 1:
             raise ValueError("determinant must be exactly 1")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.e) == (other.a, other.b, other.c, other.e)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.e))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(

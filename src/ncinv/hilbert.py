@@ -107,10 +107,6 @@ class DimensionSeries:
     method: str
     error: tuple[float, ...] | None = None
 
-    @property
-    def max_m(self) -> int:
-        return len(self.dims) - 1
-
 
 def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
     """dims[m] = number of m-partite noncrossing pairings of [md], counted by

@@ -5,8 +5,6 @@ blocks are listed in order of their minima.  Elements are 1-based, matching
 the usual diagram labelling.  Everything in this module is exact integer
 combinatorics on immutable values; all functions are pure and safe to call
 concurrently.
-
-A partition serialises to JSON as a list of blocks, e.g. ``[[1,5,6],[2,3],[4]]``.
 """
 
 from __future__ import annotations
@@ -69,17 +67,6 @@ class SetPartition:
         """Element -> index of its block in the canonical block list."""
         return {x: i for i, block in enumerate(self.blocks) for x in block}
 
-    def same_block(self, x: int, y: int) -> bool:
-        return self.block_index[x] == self.block_index[y]
-
-    def to_json(self) -> list[list[int]]:
-        return [list(block) for block in self.blocks]
-
-    @classmethod
-    def from_json(cls, data: list[list[int]]) -> "SetPartition":
-        n = sum(len(block) for block in data)
-        return cls(n, tuple(tuple(block) for block in data))
-
 
 class PairPartition(SetPartition):
     """A set partition all of whose blocks are pairs (a perfect matching)."""
@@ -90,10 +77,6 @@ class PairPartition(SetPartition):
             raise ValueError("pair partitions need an even ground set")
         if any(len(block) != 2 for block in self.blocks):
             raise ValueError("all blocks of a pair partition must have size 2")
-
-    @property
-    def chords(self) -> tuple[tuple[int, ...], ...]:
-        return self.blocks
 
 
 @dataclass(frozen=True)
@@ -134,42 +117,6 @@ def one_partition(n: int) -> SetPartition:
     return SetPartition(n, (tuple(range(1, n + 1)),))
 
 
-def kernel(values) -> SetPartition:
-    """The partition of positions 1..len(values) by equal values.
-
-    >>> kernel([7, 7, 9]).blocks
-    ((1, 2), (3,))
-    """
-    items = list(values)
-    groups: dict[object, list[int]] = {}
-    for i, v in enumerate(items, start=1):
-        groups.setdefault(v, []).append(i)
-    return SetPartition(len(items), tuple(tuple(g) for g in groups.values()))
-
-
-def is_noncrossing(p: SetPartition) -> bool:
-    """True iff no quadruple i < i' < j < j' has i ~ j and i' ~ j' in
-    different blocks.
-
-    Linear scan with a stack of open blocks: whenever a block is revisited it
-    must be the innermost open one.
-    """
-    idx = p.block_index
-    stack: list[int] = []
-    for x in range(1, p.n + 1):
-        bid = idx[x]
-        block = p.blocks[bid]
-        if x == block[0]:
-            if x != block[-1]:
-                stack.append(bid)
-        else:
-            if not stack or stack[-1] != bid:
-                return False
-            if x == block[-1]:
-                stack.pop()
-    return True
-
-
 def crossing_quads(chords):
     """Yield every quadruple (i, i', j, j') with i < i' < j < j' such that
     {i, j} and {i', j'} are chords, in lexicographic order.
@@ -183,6 +130,18 @@ def crossing_quads(chords):
                 break
             if i < ii and j < jj:
                 yield i, ii, j, jj
+
+
+def is_noncrossing(p: SetPartition) -> bool:
+    """True iff no quadruple i < i' < j < j' has i ~ j and i' ~ j' in
+    different blocks.
+
+    Such a quadruple exists iff two arcs joining consecutive elements of
+    different blocks cross (Nica-Speicher, Lecture 9), and arcs of one block
+    never cross each other, so it is enough to look for any crossing arcs.
+    """
+    arcs = sorted(arc for block in p.blocks for arc in zip(block, block[1:]))
+    return next(crossing_quads(arcs), None) is None
 
 
 def crossing_count(p: SetPartition) -> int:
@@ -320,15 +279,6 @@ def _iter_nc_matchings(n: int, interval_size: int = 1):
             closers.pop()
 
 
-def enumerate_nc_pairings(n: int) -> list[PairPartition]:
-    """All noncrossing perfect matchings of [n]; empty for odd n.
-
-    >>> [p.blocks for p in enumerate_nc_pairings(4)]
-    [((1, 2), (3, 4)), ((1, 4), (2, 3))]
-    """
-    return [PairPartition(n, ch) for ch in sorted(_iter_nc_matchings(n, 1))]
-
-
 def is_m_partite(p: SetPartition, d: int) -> bool:
     """True iff every block takes at most one element from each of the
     consecutive intervals {kd+1,...,(k+1)d}."""
@@ -393,14 +343,6 @@ def leq(p: SetPartition, q: SetPartition) -> bool:
     return True
 
 
-def meet(p: SetPartition, q: SetPartition) -> SetPartition:
-    """Common refinement: i ~ j iff i ~_p j and i ~_q j."""
-    if p.n != q.n:
-        raise ValueError("mismatched ground sets")
-    pidx, qidx = p.block_index, q.block_index
-    return kernel([(pidx[x], qidx[x]) for x in range(1, p.n + 1)])
-
-
 def nc_moebius(p: SetPartition, q: SetPartition) -> int:
     """Moebius function of the interval [p, q] inside the lattice NC(n).
 
@@ -435,13 +377,6 @@ def nc_moebius(p: SetPartition, q: SetPartition) -> int:
             if size:
                 out *= (-1) ** (size - 1) * catalan(size - 1)
     return out
-
-
-def is_irreducible(p: SetPartition) -> bool:
-    """True iff the leftmost and rightmost elements share a block."""
-    if p.n == 0:
-        return True
-    return p.same_block(1, p.n)
 
 
 def thicken(p: PairPartition, m: int, d: int) -> SetPartition:

@@ -12,7 +12,7 @@ noncrossing pairings give distinct counts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import lcm
 
 from ._rational import json_field, json_int, json_list, json_rational
 from .brackets import BracketExpression, BracketMonomial
@@ -221,28 +221,3 @@ def noncrossing_basis(m: int, d: int) -> list[NcPolynomial]:
         for chords in sorted(_iter_nc_matchings(m * d, d))
     ]
 
-
-def polarize(f_hom, d: int, vectors) -> Fraction:
-    """The symmetric multilinear form of a d-homogeneous map, evaluated at
-    ``vectors``: (1/d!) sum over I of (-1)^(d-|I|) f_hom(sum of v_i, i in I).
-
-    Normalised so that polarize(f, d, [v]*d) == f_hom(v).
-    """
-    vectors = [tuple(v) for v in vectors]
-    if len(vectors) != d:
-        raise ValueError(f"expected {d} argument vectors, got {len(vectors)}")
-    if d == 0:
-        return Fraction(f_hom(()))
-    dim = len(vectors[0])
-    total = Fraction(0)
-    for mask in range(1 << d):
-        vec = [Fraction(0)] * dim
-        bits = 0
-        for i in range(d):
-            if mask >> i & 1:
-                bits += 1
-                for j in range(dim):
-                    vec[j] += Fraction(vectors[i][j])
-        term = Fraction(f_hom(tuple(vec)))
-        total += term if (d - bits) % 2 == 0 else -term
-    return total / factorial(d)

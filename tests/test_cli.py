@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncinv
 from ncinv.cli import main
 from ncinv.partitions import catalan
 from ncinv.symbolic import noncrossing_basis
@@ -170,6 +174,19 @@ class TestRewrite:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "rewrite", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_deep_nesting_exit_2(self, tmp_path):
+        # json.load recurses once per level; run as a subprocess so that an
+        # uncaught RecursionError would show as a traceback on stderr.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        src = str(Path(ncinv.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "ncinv.cli", "rewrite", str(path)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "nesting" in done.stderr
+        assert "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("text", [
         '{"m": 2, "d": 1, "terms": [{"coeff": "1/0", "chords": [[1, 2]], "sign": 1}]}',

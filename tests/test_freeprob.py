@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,10 @@ from ncinv.freeprob import (
     MomentSequence,
     cumulants_from_moments,
     moments_from_cumulants,
-    partitioned_moment,
     psi_mixed_moment,
     psi_orthogonality,
 )
 from ncinv.partitions import (
-    SetPartition,
     catalan,
     count_m_partite_nc_pairings,
     enumerate_nc,
@@ -169,7 +168,7 @@ class TestInversion:
         for n in range(1, 7):
             top = one_partition(n)
             brute = sum(
-                partitioned_moment(sigma, ms) * nc_moebius(sigma, top)
+                prod(ms[len(block)] for block in sigma.blocks) * nc_moebius(sigma, top)
                 for sigma in enumerate_nc(n)
             )
             assert cums[n] == brute
@@ -194,19 +193,6 @@ class TestAgainstOracles:
         for sizes in _compositions(total):
             for c in ORACLE_RULES:
                 assert psi_mixed_moment(sizes, c) == brute_psi(sizes, c), (sizes, c)
-
-
-class TestPartitionedMoment:
-    def test_extremes(self):
-        ms = moments_from_cumulants(POISSON, 6)
-        assert partitioned_moment(one_partition(5), ms) == ms[5]
-        zero = SetPartition(4, ((1,), (2,), (3,), (4,)))
-        assert partitioned_moment(zero, ms) == ms[1] ** 4
-
-    def test_three_block_product(self):
-        ms = moments_from_cumulants(POISSON, 6)
-        pi = SetPartition(6, ((1, 5, 6), (2, 3), (4,)))
-        assert partitioned_moment(pi, ms) == ms[3] * ms[2] * ms[1]
 
 
 class TestPsiMoments:

@@ -1,9 +1,6 @@
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from ncinv.partitions import (
     IntervalPartition,
     PairPartition,
@@ -13,14 +10,10 @@ from ncinv.partitions import (
     crossing_count,
     enumerate_m_partite_nc_pairings,
     enumerate_nc,
-    enumerate_nc_pairings,
-    is_irreducible,
     is_m_partite,
     is_noncrossing,
     iter_nc_blocks,
-    kernel,
     leq,
-    meet,
     nc_moebius,
     one_partition,
     thicken,
@@ -40,13 +33,6 @@ from _oracles import (
 )
 
 
-@st.composite
-def set_partitions(draw, max_n=8):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    labels = [draw(st.integers(min_value=0, max_value=i)) for i in range(n)]
-    return kernel(labels)
-
-
 class TestSetPartition:
     def test_canonical_form(self):
         p = SetPartition(6, ((4,), (3, 2), (6, 5, 1)))
@@ -59,11 +45,6 @@ class TestSetPartition:
             SetPartition(4, ((1, 2),))
         with pytest.raises(ValueError):
             SetPartition(2, ((1, 2), ()))
-
-    def test_json_round_trip(self):
-        p = SetPartition(6, ((1, 5, 6), (2, 3), (4,)))
-        assert p.to_json() == [[1, 5, 6], [2, 3], [4]]
-        assert SetPartition.from_json(p.to_json()) == p
 
     def test_pair_partition_validation(self):
         with pytest.raises(ValueError):
@@ -91,7 +72,7 @@ class TestNoncrossing:
 
     def test_matches_quadruple_definition(self):
         # exhaustive against the raw definition
-        for n in range(8):
+        for n in range(9):
             for blocks in all_set_partitions(n):
                 p = SetPartition(n, blocks)
                 assert crossing_count(p) == brute_crossing_quadruples(blocks)
@@ -136,17 +117,17 @@ class TestEnumeration:
                 assert p.block_index == checked.block_index
 
     def test_pairings_small(self):
-        assert [p.blocks for p in enumerate_nc_pairings(4)] == [
+        assert [p.blocks for p in enumerate_m_partite_nc_pairings(4, 1)] == [
             ((1, 2), (3, 4)),
             ((1, 4), (2, 3)),
         ]
-        assert len(enumerate_nc_pairings(6)) == 5
-        assert enumerate_nc_pairings(3) == []
+        assert len(enumerate_m_partite_nc_pairings(6, 1)) == 5
+        assert enumerate_m_partite_nc_pairings(3, 1) == []
 
     def test_pairings_counts(self):
         for n in range(0, 13):
             expect = catalan(n // 2) if n % 2 == 0 else 0
-            assert len(enumerate_nc_pairings(n)) == expect
+            assert len(enumerate_m_partite_nc_pairings(n, 1)) == expect
 
 
 class TestMPartite:
@@ -241,11 +222,6 @@ class TestTransferCount:
 
 
 class TestLattice:
-    def test_meet_examples(self):
-        p = SetPartition(4, ((1, 3), (2, 4)))
-        q = SetPartition(4, ((1, 2), (3, 4)))
-        assert meet(p, q) == zero_partition(4)
-
     def test_leq_examples(self):
         p = SetPartition(4, ((1, 2), (3, 4)))
         assert leq(p, one_partition(4))
@@ -255,36 +231,6 @@ class TestLattice:
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
             leq(zero_partition(3), zero_partition(4))
-        with pytest.raises(ValueError):
-            meet(zero_partition(3), zero_partition(4))
-
-    @given(set_partitions(), set_partitions())
-    @settings(max_examples=80)
-    def test_meet_laws(self, p, q):
-        if p.n != q.n:
-            return
-        pq = meet(p, q)
-        assert pq == meet(q, p)
-        assert meet(p, p) == p
-        assert leq(pq, p) and leq(pq, q)
-
-    @given(set_partitions(), set_partitions(), set_partitions())
-    @settings(max_examples=50)
-    def test_meet_associative(self, p, q, r):
-        if not (p.n == q.n == r.n):
-            return
-        assert meet(meet(p, q), r) == meet(p, meet(q, r))
-
-    @given(set_partitions())
-    @settings(max_examples=50)
-    def test_extremes(self, p):
-        assert meet(p, zero_partition(p.n)) == zero_partition(p.n)
-        assert meet(p, one_partition(p.n)) == p
-
-    def test_kernel(self):
-        assert kernel([7, 7, 9]) == SetPartition(3, ((1, 2), (3,)))
-        assert kernel([3, 1, 4]) == zero_partition(3)
-        assert kernel([5, 5, 5, 5]) == one_partition(4)
 
     def test_interval_partition(self):
         ip = IntervalPartition((2, 3, 1))
@@ -377,9 +323,3 @@ class TestThicken:
         q = SetPartition(2, ((1,), (2,)))
         with pytest.raises(ValueError):
             unthicken(q, 2, 2)
-
-
-def test_is_irreducible():
-    assert is_irreducible(PairPartition(4, ((1, 4), (2, 3))))
-    assert not is_irreducible(PairPartition(4, ((1, 2), (3, 4))))
-    assert is_irreducible(SetPartition(0, ()))

@@ -1,0 +1,33 @@
+"""The scripts under scripts/ run at small sizes and print their tables."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ncinv
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *argv):
+    src = str(Path(ncinv.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_hilbert_table():
+    lines = run_script("hilbert_table.py", "--max-d", "2", "--max-m", "4")
+    assert lines[:2] == ["# d = 1", "m,enum,cheb,quad,abs_err"]
+    verdicts = [line for line in lines if line.startswith("# exact")]
+    assert verdicts == ["# exact methods agree: True, quadrature within 1e-08: True -> ok"] * 2
+
+
+def test_quadrature_convergence():
+    lines = run_script("quadrature_convergence.py",
+                       "--max-d", "1", "--max-m", "3", "--max-panels", "8")
+    assert lines[:2] == ["# d = 1", "panels,max_abs_err,estimate"]
+    assert [line.split(",")[0] for line in lines[2:6]] == ["1", "2", "4", "8"]

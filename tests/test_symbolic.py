@@ -2,8 +2,6 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ncinv.brackets import BracketExpression, BracketMonomial
 from ncinv.partitions import enumerate_m_partite_nc_pairings
@@ -11,7 +9,6 @@ from ncinv.symbolic import (
     NcPolynomial,
     leading_term,
     noncrossing_basis,
-    polarize,
     predicted_leading_word,
     restitution,
 )
@@ -242,28 +239,3 @@ class TestBasis:
             assert len(noncrossing_basis(m, d)) == len(
                 enumerate_m_partite_nc_pairings(m, d)
             )
-
-
-class TestPolarize:
-    def test_square_of_first_coordinate(self):
-        f = lambda v: v[0] * v[0]
-        assert polarize(f, 2, [(1, 0), (0, 1)]) == 0
-
-    def test_product_of_coordinates(self):
-        f = lambda v: v[0] * v[1]
-        assert polarize(f, 2, [(1, 0), (0, 1)]) == Fraction(1, 2)
-
-    @given(
-        st.integers(min_value=1, max_value=4),
-        st.fractions(min_value=-3, max_value=3),
-        st.fractions(min_value=-3, max_value=3),
-    )
-    @settings(max_examples=40)
-    def test_diagonal_reproduces(self, d, x, y):
-        f = lambda v: v[0] ** d + v[0] * v[1] ** (d - 1) if d > 1 else v[0] + v[1]
-        v = (x, y)
-        assert polarize(f, d, [v] * d) == Fraction(f(v))
-
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError):
-            polarize(lambda v: v[0], 2, [(1, 0)])
