@@ -38,12 +38,10 @@ from .hilbert import (
     dims_by_quadrature,
 )
 from .partitions import (
-    IntervalPartition,
     PairPartition,
     SetPartition,
     catalan,
     count_m_partite_nc_pairings,
-    crossing_count,
     enumerate_m_partite_nc_pairings,
     enumerate_nc,
     is_m_partite,

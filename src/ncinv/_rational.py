@@ -5,15 +5,17 @@ coefficients, ``verify --witness-matrix`` entries, cumulant tables): an
 integer, ``p/q`` or a plain decimal.  Exponents are refused, because
 ``Fraction("1e999999999")`` would build that power of ten in full.
 
-The ``json_*`` readers check the fields of parsed JSON documents (bracket
-expressions, polynomials, group elements): a missing field or a value of
-the wrong type is a ValueError with a message.  JSON floats are refused,
-since they are not exact.
+The ``json_*`` readers check the fields of the one JSON document a command
+reads, the bracket expression file of ``rewrite``: a missing field or a
+value of the wrong type is a ValueError with a message.  JSON floats are
+refused, since they are not exact.  Error messages quote the offending
+value through ``reprlib.repr``, so a huge input is not echoed in full.
 """
 
 from __future__ import annotations
 
 import re
+import reprlib
 from fractions import Fraction
 
 _RATIONAL = re.compile(r"\s*[+-]?(\d+/\d+|\d*\.?\d+)\s*")
@@ -23,11 +25,12 @@ def parse_rational(text: str, what: str) -> Fraction:
     """The rational written in ``text``; ValueError, naming ``what``, for
     anything but an integer, p/q or a plain decimal, or a zero denominator."""
     if not _RATIONAL.fullmatch(text):
-        raise ValueError(f"{what} must be an integer, p/q or a plain decimal, got {text!r}")
+        raise ValueError(f"{what} must be an integer, p/q or a plain decimal, "
+                         f"got {reprlib.repr(text)}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{what} {text!r} has a zero denominator") from None
+        raise ValueError(f"{what} {reprlib.repr(text)} has a zero denominator") from None
 
 
 def as_rational(value, what: str) -> Fraction:
@@ -57,7 +60,7 @@ def json_list(data, key: str) -> list:
 def json_int(value, what: str) -> int:
     """A JSON integer; booleans and floats are refused."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -67,4 +70,5 @@ def json_rational(value, what: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value, what)
-    raise ValueError(f'{what} must be an integer or a string such as "2/3", got {value!r}')
+    raise ValueError(f'{what} must be an integer or a string such as "2/3", '
+                     f"got {reprlib.repr(value)}")

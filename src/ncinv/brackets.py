@@ -17,6 +17,7 @@ runtime-checked invariant.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,7 +166,7 @@ class BracketExpression:
             pairs = [tuple(json_int(x, "chord slot") for x in pair) for pair in chords]
             sign = json_int(entry.get("sign", 1), "sign")
             if sign not in (1, -1):
-                raise ValueError(f"sign must be 1 or -1, got {sign}")
+                raise ValueError(f"sign must be 1 or -1, got {reprlib.repr(sign)}")
             mono = from_pairs(m, d, pairs)
             coeff = json_rational(json_field(entry, "coeff"), "coefficient") * sign * mono.sign
             terms[mono.chords] = terms.get(mono.chords, Fraction(0)) + coeff

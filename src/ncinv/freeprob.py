@@ -11,11 +11,11 @@ points can follow in a block.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rational import as_rational
-from .partitions import IntervalPartition
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class CumulantSequence:
 
     def __post_init__(self) -> None:
         if self.kind not in ("semicircle", "free-poisson", "table"):
-            raise ValueError(f"unknown cumulant rule {self.kind!r}")
+            raise ValueError(f"unknown cumulant rule {reprlib.repr(self.kind)}")
         table = tuple(as_rational(v, "cumulant") for v in self.table)
         object.__setattr__(self, "table", table)
 
@@ -79,9 +79,11 @@ class CumulantSequence:
             body = text[len("table:"):].strip()
             if body.startswith("[") and body.endswith("]"):
                 body = body[1:-1]
-            entries = [s for s in (part.strip() for part in body.split(",")) if s]
+            entries = [part.strip() for part in body.split(",")] if body.strip() else []
+            if "" in entries:
+                raise ValueError(f"empty entry in cumulant table {reprlib.repr(text)}")
             return cls.from_table(entries)
-        raise ValueError(f"unknown cumulant rule {text!r}")
+        raise ValueError(f"unknown cumulant rule {reprlib.repr(text)}")
 
     def __getitem__(self, k: int) -> Fraction:
         if k < 1:
@@ -157,18 +159,19 @@ def psi_mixed_moment(k, c: CumulantSequence) -> Fraction:
     window, so only c_1..c_m enter, and no block grows past the last size
     with a nonzero cumulant.  O(n^3 m) exact operations for n points.
     """
-    sizes = tuple(int(v) for v in k)
-    if any(v <= 0 for v in sizes):
-        raise ValueError("group sizes must be positive")
+    sizes = tuple(k)
+    if any(isinstance(v, bool) or not isinstance(v, int) or v <= 0 for v in sizes):
+        raise ValueError(f"group sizes must be positive integers, got {reprlib.repr(sizes)}")
     if not sizes:
         return Fraction(1)
     n = sum(sizes)
     weight = [Fraction(0)] + [c[s] for s in range(1, len(sizes) + 1)]
     top = max((s for s, w in enumerate(weight) if w), default=0)
     # x -> (the number of windows up to x's, the first point of the next)
-    place = {x: (i + 1, window[-1] + 1)
-             for i, window in enumerate(IntervalPartition(sizes).partition.blocks)
-             for x in window}
+    place, end = {}, 1
+    for i, size in enumerate(sizes, start=1):
+        end += size
+        place.update((x, (i, end)) for x in range(end - size, end))
     # ranges[lo][hi]: the sum over the admissible partitions of lo..hi-1
     ranges = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
     for hi in range(1, n + 2):

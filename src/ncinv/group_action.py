@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from ._rational import as_rational, json_field, json_rational
+from ._rational import as_rational
 from .symbolic import NcPolynomial
 
 
@@ -54,15 +54,6 @@ class GroupElement:
     @classmethod
     def identity(cls) -> "GroupElement":
         return cls(1, 0, 0, 1)
-
-    def to_json_dict(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "c": str(self.c), "e": str(self.e)}
-
-    @classmethod
-    def from_json_dict(cls, data) -> "GroupElement":
-        """Parse the JSON form; each entry must be a JSON integer or a string
-        such as "2/3", otherwise ValueError."""
-        return cls(*(json_rational(json_field(data, name), f"entry {name}") for name in "abce"))
 
 
 SHEAR_UPPER = GroupElement(1, 1, 0, 1)

@@ -182,11 +182,11 @@ QUADRATURE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MethodComparison:
-    """Row-per-m comparison of the three methods for one degree d."""
+    """Row-per-m comparison of the three methods for one degree d; the
+    quadrature column must lie within QUADRATURE_TOL of the exact one."""
 
     d: int
     rows: tuple[tuple, ...]  # (m, enum, cheb, quad, abs_err)
-    tolerance: float
 
     @property
     def exact_methods_agree(self) -> bool:
@@ -194,7 +194,7 @@ class MethodComparison:
 
     @property
     def quadrature_within_tolerance(self) -> bool:
-        return all(row[4] <= self.tolerance for row in self.rows)
+        return all(row[4] <= QUADRATURE_TOL for row in self.rows)
 
     @property
     def ok(self) -> bool:
@@ -206,20 +206,8 @@ class MethodComparison:
             lines.append(f"{m},{en},{ch},{qu:.{precision}g},{err:.3e}")
         return "\n".join(lines)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "tolerance": self.tolerance,
-            "ok": self.ok,
-            "rows": [
-                {"m": m, "enum": en, "cheb": ch, "quad": qu, "abs_err": err}
-                for m, en, ch, qu, err in self.rows
-            ],
-        }
 
-
-def compare_methods(d: int, max_m: int, *, nodes: int = 256,
-                    tolerance: float = QUADRATURE_TOL) -> MethodComparison:
+def compare_methods(d: int, max_m: int, *, nodes: int = 256) -> MethodComparison:
     """Run all three methods and tabulate (m, enum, cheb, quad, |quad-exact|)."""
     enum = dims_by_enumeration(d, max_m)
     cheb = dims_by_chebyshev(d, max_m)
@@ -228,4 +216,4 @@ def compare_methods(d: int, max_m: int, *, nodes: int = 256,
         (m, enum.dims[m], cheb.dims[m], quad.dims[m], abs(quad.dims[m] - enum.dims[m]))
         for m in range(max_m + 1)
     )
-    return MethodComparison(d, rows, tolerance)
+    return MethodComparison(d, rows)

@@ -9,7 +9,6 @@ concurrently.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -79,32 +78,6 @@ class PairPartition(SetPartition):
             raise ValueError("all blocks of a pair partition must have size 2")
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    """The partition of [k_1+...+k_m] into consecutive intervals of sizes k_i."""
-
-    sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        sizes = tuple(int(k) for k in self.sizes)
-        if any(k <= 0 for k in sizes):
-            raise ValueError("interval sizes must be positive")
-        object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
-
-    @cached_property
-    def partition(self) -> SetPartition:
-        blocks = []
-        start = 1
-        for k in self.sizes:
-            blocks.append(tuple(range(start, start + k)))
-            start += k
-        return SetPartition(self.n, tuple(blocks))
-
-
 def zero_partition(n: int) -> SetPartition:
     """The minimal element of NC(n): all blocks singletons."""
     return SetPartition(n, tuple((x,) for x in range(1, n + 1)))
@@ -142,13 +115,6 @@ def is_noncrossing(p: SetPartition) -> bool:
     """
     arcs = sorted(arc for block in p.blocks for arc in zip(block, block[1:]))
     return next(crossing_quads(arcs), None) is None
-
-
-def crossing_count(p: SetPartition) -> int:
-    """Number of quadruples i < i' < j < j' with i ~ j, i' ~ j', i not~ i'."""
-    chords = sorted(pair for block in p.blocks for pair in itertools.combinations(block, 2))
-    idx = p.block_index
-    return sum(1 for i, ii, _j, _jj in crossing_quads(chords) if idx[i] != idx[ii])
 
 
 def window_of(x: int, d: int) -> int:
@@ -227,9 +193,9 @@ def enumerate_nc(n: int) -> list[SetPartition]:
     return [SetPartition._trusted(n, blocks) for blocks in iter_nc_blocks(n)]
 
 
-def _iter_nc_matchings(n: int, interval_size: int = 1):
+def _iter_nc_matchings(n: int, d: int):
     """Yield chord tuples of noncrossing perfect matchings of [n] with no
-    chord inside one window of `interval_size` consecutive positions.
+    chord inside one window of d consecutive positions.
 
     Positions are scanned left to right; each either opens a new chord or
     closes the most recent open one (the stack discipline is exactly
@@ -250,7 +216,7 @@ def _iter_nc_matchings(n: int, interval_size: int = 1):
             yield tuple(zip(openers, closers))
         # Window test inlined, not window_of: this is the enumeration hot loop.
         elif (may_close and stack
-              and (openers[stack[-1]] - 1) // interval_size != (t - 1) // interval_size):
+              and (openers[stack[-1]] - 1) // d != (t - 1) // d):
             i = stack.pop()
             closers[i] = t
             path.append(i)

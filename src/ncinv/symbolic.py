@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ._rational import json_field, json_int, json_list, json_rational
 from .brackets import BracketExpression, BracketMonomial
 from .partitions import _iter_nc_matchings
 
@@ -78,9 +77,6 @@ class NcPolynomial:
     def __repr__(self) -> str:
         return f"NcPolynomial(d={self.d}, m={self.m}, {self.pretty()!r})"
 
-    def coefficient(self, word) -> Fraction:
-        return self.terms.get(tuple(word), Fraction(0))
-
     def pretty(self) -> str:
         """Human-readable form, leading term first, e.g. 'a1·a0 - a0·a1'."""
         if not self.terms:
@@ -114,18 +110,6 @@ class NcPolynomial:
                 for word in sorted(self.terms, reverse=True)
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "NcPolynomial":
-        """Parse the JSON form; a missing or mistyped field raises ValueError.
-        Coefficients of repeated words are summed."""
-        d, m = json_int(json_field(data, "d"), "d"), json_int(json_field(data, "m"), "m")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for entry in json_list(data, "terms"):
-            word = tuple(json_int(k, "letter") for k in json_list(entry, "word"))
-            coeff = json_rational(json_field(entry, "coeff"), "coefficient")
-            terms[word] = terms.get(word, Fraction(0)) + coeff
-        return cls(d, m, terms)
 
 
 def _expand(b: BracketMonomial) -> dict[int, int]:

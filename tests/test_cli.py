@@ -118,6 +118,22 @@ class TestHilbert:
         err = capsys.readouterr().err
         assert "usage:" in err and "--precision" in err and "nonnegative" in err
 
+    def test_all_json_fixed(self, capsys):
+        code, out, err = run_cli(capsys, "hilbert", "--d", "1", "--max-m", "4",
+                                 "--method", "all", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"d": 1, "rows": ['
+            '{"m": 0, "enum": 1, "cheb": 1, "quad": 1.0, "abs_err": 0.0}, '
+            '{"m": 1, "enum": 0, "cheb": 0, "quad": 3.953217451829976e-18, '
+            '"abs_err": 3.953217451829976e-18}, '
+            '{"m": 2, "enum": 1, "cheb": 1, "quad": 1.0, "abs_err": 0.0}, '
+            '{"m": 3, "enum": 0, "cheb": 0, "quad": 9.666435715650115e-19, '
+            '"abs_err": 9.666435715650115e-19}, '
+            '{"m": 4, "enum": 2, "cheb": 2, "quad": 2.0, "abs_err": 0.0}], '
+            '"exact_mismatch": false, "quad_above_tol": false}\n'
+        )
+
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "hilbert", "--d", "1", "--max-m", "4",
@@ -174,6 +190,17 @@ class TestRewrite:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "rewrite", str(tmp_path / "nope.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"m": [0] * 50_000, "d": 1, "terms": []}, "m must be an integer"),
+        ({"m": 2, "d": 1, "terms": [{"coeff": "1", "chords": [[1, 2]], "sign": 10 ** 4000}]},
+         "sign must be 1 or -1"),
+    ], ids=["long-list", "long-int"])
+    def test_huge_field_not_echoed(self, capsys, tmp_path, payload, field):
+        code, out, err = run_cli(capsys, "rewrite", self.write(tmp_path, payload))
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        assert field in err
 
     def test_deep_nesting_exit_2(self, tmp_path):
         # json.load recurses once per level; run as a subprocess so that an
@@ -348,6 +375,26 @@ class TestMoments:
         code, out, err = run_cli(capsys, "moments", "--rule", "table:[1,1e3]", "--n", "3")
         assert (code, out) == (2, "")
         assert "plain decimal" in err and "'1e3'" in err
+
+    @pytest.mark.parametrize("rule", ["table:[1,,2]", "table:[,]", "table:[1,2,]"])
+    def test_empty_table_entry_exit_2(self, capsys, rule):
+        code, out, err = run_cli(capsys, "moments", "--rule", rule, "--n", "4")
+        assert (code, out) == (2, "")
+        assert "empty entry in cumulant table" in err
+
+    def test_empty_table_is_all_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", "--rule", "table:[]", "--n", "3")
+        assert (code, out) == (0, "1,0,0,0\n")
+
+    @pytest.mark.parametrize("rule, field", [
+        ("table:[" + "[" * 100_000, "cumulant must be an integer"),
+        ("x" * 5_000, "unknown cumulant rule"),
+    ], ids=["deep-table", "long-name"])
+    def test_huge_rule_not_echoed(self, capsys, rule, field):
+        code, out, err = run_cli(capsys, "moments", "--rule", rule, "--n", "3")
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 200
+        assert field in err
 
     @pytest.mark.parametrize("rule, want", [
         ("free-poisson", lambda k: catalan(k)),

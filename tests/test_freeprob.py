@@ -225,6 +225,11 @@ class TestPsiMoments:
         with pytest.raises(ValueError):
             psi_mixed_moment((2, 0), SEMI)
 
+    @pytest.mark.parametrize("sizes", [(2.7, 2), (True, True), (2, 2.0), (Fraction(2), 2), ("2",)])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="group sizes must be positive integers"):
+            psi_mixed_moment(sizes, SEMI)
+
 
 class TestOrthogonality:
     def test_semicircle_table(self):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from ncinv.hilbert import (
+    QUADRATURE_TOL,
     IntPolynomial,
     chebyshev_poly,
     compare_methods,
@@ -124,7 +125,7 @@ class TestCompareMethods:
         assert [row[0] for row in report.rows] == [0, 1, 2, 3, 4]
         for _m, en, ch, _qu, err in report.rows:
             assert en == ch
-            assert err <= report.tolerance
+            assert err <= QUADRATURE_TOL
 
     def test_odd_entries_zero_in_all_columns(self):
         report = compare_methods(3, 4, nodes=128)
@@ -138,8 +139,3 @@ class TestCompareMethods:
         assert lines[0] == "m,enum,cheb,quad,abs_err"
         assert len(lines) == 4
         assert lines[1].startswith("0,1,1,")
-
-    def test_json_dict(self):
-        data = compare_methods(1, 2, nodes=64).to_json_dict()
-        assert data["ok"] is True
-        assert [row["m"] for row in data["rows"]] == [0, 1, 2]

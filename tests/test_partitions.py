@@ -2,12 +2,10 @@ from math import comb
 
 import pytest
 from ncinv.partitions import (
-    IntervalPartition,
     PairPartition,
     SetPartition,
     catalan,
     count_m_partite_nc_pairings,
-    crossing_count,
     enumerate_m_partite_nc_pairings,
     enumerate_nc,
     is_m_partite,
@@ -65,18 +63,12 @@ class TestNoncrossing:
         for n in range(7):
             assert is_noncrossing(zero_partition(n))
 
-    def test_crossing_count_examples(self):
-        assert crossing_count(SetPartition(4, ((1, 3), (2, 4)))) == 1
-        for p in enumerate_nc(6):
-            assert crossing_count(p) == 0
-
     def test_matches_quadruple_definition(self):
         # exhaustive against the raw definition
         for n in range(9):
             for blocks in all_set_partitions(n):
                 p = SetPartition(n, blocks)
-                assert crossing_count(p) == brute_crossing_quadruples(blocks)
-                assert is_noncrossing(p) == (crossing_count(p) == 0)
+                assert is_noncrossing(p) == (brute_crossing_quadruples(blocks) == 0)
 
 
 class TestEnumeration:
@@ -231,13 +223,6 @@ class TestLattice:
     def test_mismatched_n(self):
         with pytest.raises(ValueError):
             leq(zero_partition(3), zero_partition(4))
-
-    def test_interval_partition(self):
-        ip = IntervalPartition((2, 3, 1))
-        assert ip.partition.blocks == ((1, 2), (3, 4, 5), (6,))
-        assert ip.n == 6
-        with pytest.raises(ValueError):
-            IntervalPartition((2, 0))
 
 
 class TestMoebius:

@@ -66,45 +66,21 @@ class TestNcPolynomial:
     def test_pretty_signs_and_magnitudes(self, terms, d, m, text):
         assert NcPolynomial(d, m, terms).pretty() == text
 
+    @staticmethod
+    def read_json(data):
+        # The output shape of ``basis --format json``, read back by hand.
+        terms = {tuple(t["word"]): Fraction(t["coeff"]) for t in data["terms"]}
+        assert list(terms) == sorted(terms, reverse=True)
+        return NcPolynomial(data["d"], data["m"], terms)
+
     def test_json_round_trip(self):
         p = NcPolynomial(2, 2, {(2, 0): Fraction(1, 3), (0, 2): -1})
-        assert NcPolynomial.from_json_dict(p.to_json_dict()) == p
+        assert self.read_json(p.to_json_dict()) == p
 
     @pytest.mark.parametrize("m, d", [(0, 3), (2, 1), (4, 2), (3, 4)])
     def test_json_round_trip_of_basis(self, m, d):
         for p in noncrossing_basis(m, d):
-            assert NcPolynomial.from_json_dict(p.to_json_dict()) == p
-
-    def test_json_accepted_coefficient_forms(self):
-        for coeff, want in [(3, 3), ("-2/4", Fraction(-1, 2)), (" 0.25 ", Fraction(1, 4))]:
-            data = {"d": 1, "m": 1, "terms": [{"word": [1], "coeff": coeff}]}
-            assert NcPolynomial.from_json_dict(data).terms == {(1,): Fraction(want)}
-
-    @pytest.mark.parametrize("data, message", [
-        ([], "JSON object"),
-        ({"m": 1, "terms": []}, "missing field 'd'"),
-        ({"d": 1, "terms": []}, "missing field 'm'"),
-        ({"d": 1, "m": 1}, "missing field 'terms'"),
-        ({"d": 1, "m": 1, "terms": None}, "terms must be a list"),
-        ({"d": 1.7, "m": 1, "terms": []}, "d must be an integer"),
-        ({"d": True, "m": 1, "terms": []}, "d must be an integer"),
-        ({"d": 1, "m": "1", "terms": []}, "m must be an integer"),
-        ({"d": -1, "m": 1, "terms": []}, "nonnegative"),
-        ({"d": 1, "m": 1, "terms": ["x"]}, "JSON object"),
-        ({"d": 1, "m": 1, "terms": [{"coeff": "1"}]}, "missing field 'word'"),
-        ({"d": 1, "m": 1, "terms": [{"word": 1, "coeff": "1"}]}, "word must be a list"),
-        ({"d": 1, "m": 1, "terms": [{"word": [1.0], "coeff": "1"}]}, "letter"),
-        ({"d": 1, "m": 1, "terms": [{"word": [2], "coeff": "1"}]}, "out of range"),
-        ({"d": 1, "m": 1, "terms": [{"word": [0, 1], "coeff": "1"}]}, "length"),
-        ({"d": 1, "m": 1, "terms": [{"word": [1]}]}, "missing field 'coeff'"),
-        ({"d": 1, "m": 1, "terms": [{"word": [1], "coeff": "1e3"}]}, "coefficient"),
-        ({"d": 1, "m": 1, "terms": [{"word": [1], "coeff": 0.1}]}, "coefficient"),
-        ({"d": 1, "m": 1, "terms": [{"word": [1], "coeff": None}]}, "coefficient"),
-        ({"d": 1, "m": 1, "terms": [{"word": [1], "coeff": "1/0"}]}, "zero denominator"),
-    ])
-    def test_json_malformed_rejected(self, data, message):
-        with pytest.raises(ValueError, match=message):
-            NcPolynomial.from_json_dict(data)
+            assert self.read_json(p.to_json_dict()) == p
 
 
 class TestRestitution:
