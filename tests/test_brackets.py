@@ -19,7 +19,7 @@ from ncinv.brackets import (
     pluecker_step,
     to_noncrossing,
 )
-from ncinv.partitions import crossing_quads
+from ncinv.partitions import PairPartition, crossing_quads, is_noncrossing
 from ncinv.symbolic import restitution
 
 from _oracles import (
@@ -124,6 +124,14 @@ class TestCrossings:
                 assert want == sorted(want)
                 assert mono.crossing_count() == len(want)
                 assert mono.is_noncrossing() == (not want)
+
+    def test_monomial_count_matches_partition_count(self):
+        for m, d in md_cases(10):
+            for mono in all_monomials(m, d):
+                p = PairPartition(m * d, mono.chords)
+                count = sum(1 for _ in crossing_quads(p.blocks))
+                assert mono.crossing_count() == count
+                assert mono.is_noncrossing() == (count == 0) == is_noncrossing(p)
 
 
 class TestToNoncrossing:
