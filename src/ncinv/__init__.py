@@ -55,6 +55,7 @@ from .partitions import (
 )
 from .symbolic import (
     NcPolynomial,
+    iter_noncrossing_basis,
     leading_term,
     noncrossing_basis,
     predicted_leading_word,

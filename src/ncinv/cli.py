@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 
 from .brackets import BracketExpression, to_noncrossing
@@ -22,7 +23,7 @@ from .hilbert import (
     dims_by_quadrature,
 )
 from .partitions import count_m_partite_nc_pairings
-from .symbolic import noncrossing_basis
+from .symbolic import iter_noncrossing_basis
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -33,15 +34,40 @@ def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
                         help="ignored (no results are cached)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that quotes an invalid choice or unrecognized
+    arguments in shortened form, as the program's own messages quote what
+    they are given.  The choices are not repeated: the usage line printed
+    with the error lists them."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentError(action, f"invalid choice: {reprlib.repr(value)}")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {reprlib.repr(' '.join(extra))}")
+        return args
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer: {reprlib.repr(text)}") from None
+
+
 def _nonneg(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncinv",
         description="Noncrossing bases of noncommutative SL(2) invariants of "
                     "binary forms, and their dimension series.",
@@ -63,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hil.add_argument("--max-m", type=_nonneg, required=True)
     p_hil.add_argument("--method", default="all",
                        choices=("enumeration", "chebyshev", "quadrature", "all"))
-    p_hil.add_argument("--nodes", type=int, default=256,
+    p_hil.add_argument("--nodes", type=_integer, default=256,
                        help="quadrature panels (default 256)")
     p_hil.add_argument("--format", choices=("text", "csv", "json"), default=None,
                        help="default: text for single methods, csv for all")
@@ -82,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of seeded random det-1 witnesses to apply as a "
                             "cross-check; invariance itself is proved exactly by "
                             "the infinitesimal shears (default 0)")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_integer, default=0)
     p_ver.add_argument("--witness-matrix", nargs=4, action="append", default=[],
                        metavar=("A", "B", "C", "E"),
                        help="extra witness as four rationals, det must be 1")
@@ -101,7 +127,8 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    basis = noncrossing_basis(args.m, args.d)
+    # One element at a time: each is written before the next is built.
+    basis = iter_noncrossing_basis(args.m, args.d)
     if args.format == "json":
         # Element by element, as json.dumps of the whole list would print it.
         out = sys.stdout
@@ -173,9 +200,8 @@ def _cmd_verify(args) -> int:
     witnesses = list(random_witnesses(args.seed, args.witnesses))
     for quad in args.witness_matrix:
         witnesses.append(GroupElement(*quad))
-    basis = noncrossing_basis(args.m, args.d)
     failures = 0
-    for i, poly in enumerate(basis):
+    for i, poly in enumerate(iter_noncrossing_basis(args.m, args.d)):
         ok = is_invariant(poly) and is_invariant(poly, witnesses)
         print(f"{'PASS' if ok else 'FAIL'} element {i}: {poly.pretty()}")
         if not ok:

@@ -20,9 +20,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from ._rational import as_rational
-from .symbolic import NcPolynomial
+from .symbolic import NcPolynomial, _places
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,11 @@ def default_witnesses(seed: int = 0, random_count: int = 5) -> tuple[GroupElemen
     return (SHEAR_UPPER, SHEAR_LOWER, SCALE_TWO) + random_witnesses(seed, random_count)
 
 
-def _shear_image(poly: NcPolynomial, step: int) -> dict[tuple[int, ...], int]:
+def _shear_image(poly: NcPolynomial, step: int) -> dict[int, int]:
     """The infinitesimal shear N_+ (step 1) or N_- (step -1) applied to poly,
     times the common denominator of its coefficients; zero terms dropped.
+    Words are packed into integers as ``symbolic._expand`` packs them:
+    _letter_width(d) bytes per letter, first letter highest.
 
     ``act`` substitutes a_k -> sum_j M_d(g^{-1})[k][j] a_j.  For the upper
     shears g_t = [[1, t], [0, 1]], g_t^{-1} = [[1, -t], [0, 1]], so b = -t
@@ -188,19 +191,29 @@ def _shear_image(poly: NcPolynomial, step: int) -> dict[tuple[int, ...], int]:
     shears [[1, 0], [t, 1]] give M[k][k-1] = k t the same way.  So N_+ is
     the derivation a_k -> (d-k) a_(k+1) and N_- is a_k -> k a_(k-1): a word
     maps to at most m words, with integer weights.
+
+    On a packed word, moving the letter at one position up or down by one
+    adds or subtracts that position's place value.  This never carries or
+    borrows into a neighbouring letter: N_+ has weight 0 on a_d, so it only
+    raises letters k < d, to at most d, which fits the letter's bytes; N_-
+    has weight 0 on a_0, so it only lowers letters k >= 1, to at least 0.
     """
     d = poly.d
+    places = _places(d, poly.m)
+    shifts = [step * at for at in places]
+    weights = [d - k if step > 0 else k for k in range(d + 1)]
     denominator = lcm(*(c.denominator for c in poly.terms.values()))
-    image: dict[tuple[int, ...], int] = {}
+    image: dict[int, int] = {}
     get = image.get
     for word, coeff in poly.terms.items():
         c = coeff.numerator * (denominator // coeff.denominator)
-        for pos, k in enumerate(word):
-            weight = d - k if step > 0 else k
+        key = sum(map(mul, word, places))
+        for k, shift in zip(word, shifts):
+            weight = weights[k]
             if weight:
-                new = word[:pos] + (k + step,) + word[pos + 1:]
+                new = key + shift
                 image[new] = get(new, 0) + weight * c
-    return {word: c for word, c in image.items() if c}
+    return {key: c for key, c in image.items() if c}
 
 
 def is_invariant(poly: NcPolynomial, witnesses=None) -> bool:

@@ -1,12 +1,18 @@
 """Noncommutative polynomials in a_0..a_d and the symbol/restitution map.
 
 Words are tuples of letter indices (0-based, length m); coefficients are
-exact Fractions.  The letter order a_d > a_(d-1) > ... > a_0 makes the
-lexicographically greatest word of a polynomial its leading term, which is
-how linear independence of the noncrossing basis is certified: the leading
-word of the restitution of a noncrossing pairing counts, interval by
-interval, the chords leaving that interval to the right, and distinct
-noncrossing pairings give distinct counts.
+exact Fractions.  Inside the hot loops (restitution here, the shear
+certificate in ``group_action``) a word is packed into one integer, a fixed
+number of bytes per letter.
+
+The letter order a_d > a_(d-1) > ... > a_0 makes the lexicographically
+greatest word of a polynomial its leading term, which is how linear
+independence of the noncrossing basis is certified: the leading word of the
+restitution of a noncrossing pairing counts, interval by interval, the
+chords leaving that interval to the right, and distinct noncrossing
+pairings give distinct counts.  ``iter_noncrossing_basis`` builds the basis
+one element at a time, so a caller that prints or checks each element in
+turn holds only one polynomial.
 """
 
 from __future__ import annotations
@@ -120,8 +126,7 @@ def _expand(b: BracketMonomial) -> dict[int, int]:
     A letter counts the eta_1 factors taken from its symbol, at most d, so
     adding a place value never carries into the next letter.
     """
-    width = _letter_width(b.d)
-    place = [1 << (8 * width * (b.m - 1 - i)) for i in range(b.m)]
+    place = _places(b.d, b.m)
     profiles = {0: b.sign}
     for p, q in b.chords:
         # eta_1 from the symbol of p with sign +, or from that of q with sign -.
@@ -138,6 +143,12 @@ def _expand(b: BracketMonomial) -> dict[int, int]:
 
 def _letter_width(d: int) -> int:
     return max(1, (d.bit_length() + 7) // 8)
+
+
+def _places(d: int, m: int) -> list[int]:
+    """The place value of each position of a packed word of length m."""
+    bits = 8 * _letter_width(d)
+    return [1 << (bits * (m - 1 - i)) for i in range(m)]
 
 
 def _unpack(d: int, m: int, profiles: dict[int, int], denominator: int) -> NcPolynomial:
@@ -196,12 +207,18 @@ def predicted_leading_word(b: BracketMonomial) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def iter_noncrossing_basis(m: int, d: int):
+    """Yield the restitutions of the m-partite noncrossing pairings
+    (canonical orientation, sign +1) one at a time, in sorted chord order.
+    Only the sorted chord tuples are held, never more than one polynomial."""
+    for chords in sorted(_iter_nc_matchings(m * d, d)):
+        yield restitution(BracketMonomial(m, d, chords, 1))
+
+
 def noncrossing_basis(m: int, d: int) -> list[NcPolynomial]:
     """Restitutions of all m-partite noncrossing pairings (canonical
     orientation, sign +1); pairwise distinct leading words make them a basis
-    of the invariant m-linear forms.  Empty when m*d is odd."""
-    return [
-        restitution(BracketMonomial(m, d, chords, 1))
-        for chords in sorted(_iter_nc_matchings(m * d, d))
-    ]
-
+    of the invariant m-linear forms.  Empty when m*d is odd.  All of
+    ``iter_noncrossing_basis`` at once: memory grows with the basis, so
+    callers that take one element at a time iterate that instead."""
+    return list(iter_noncrossing_basis(m, d))

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncinv
+from ncinv import symbolic
 from ncinv.cli import main
 from ncinv.partitions import catalan
 from ncinv.symbolic import noncrossing_basis
@@ -79,6 +80,35 @@ class TestBasis:
         assert code == 0
         whole = json.dumps([poly.to_json_dict() for poly in noncrossing_basis(m, 2)])
         assert out == whole + "\n"
+
+
+class TestStreaming:
+    """basis and verify write each element before they build the next."""
+
+    @pytest.mark.parametrize("argv, render, head, sep", [
+        (["basis"], lambda i, poly: poly.pretty() + "\n", "", ""),
+        (["basis", "--format", "json"], lambda i, poly: json.dumps(poly.to_json_dict()),
+         "[", ", "),
+        (["verify"], lambda i, poly: f"PASS element {i}: {poly.pretty()}\n", "", ""),
+    ], ids=["text", "json", "verify"])
+    def test_element_written_before_the_next_is_built(self, monkeypatch, argv, render,
+                                                      head, sep):
+        m, d = 6, 2
+        elements = [render(i, poly) for i, poly in enumerate(noncrossing_basis(m, d))]
+        out = io.StringIO()
+        written = []  # stdout so far, each time restitution starts an element
+        real = symbolic.restitution
+
+        def recording(b):
+            written.append(out.getvalue())
+            return real(b)
+
+        monkeypatch.setattr(symbolic, "restitution", recording)
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--d", str(d), "--m", str(m)]) == 0
+        assert len(written) == len(elements) == 15
+        for i, text in enumerate(written):
+            assert text == head + sep.join(elements[:i]), i
 
 
 class TestHilbert:
@@ -406,6 +436,45 @@ class TestMoments:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert out == ",".join(str(want(k)) for k in range(61)) + "\n"
+
+
+HUGE = "x" * 5000
+
+
+class TestUsageErrorsQuoteShortened:
+    """argparse's own errors quote a bad value shortened, like the program's."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dim", "--d", HUGE, "--m", "2"],
+        ["hilbert", "--d", "2", "--max-m", "3", "--nodes", HUGE],
+        ["verify", "--d", "2", "--m", "2", "--seed", HUGE],
+        ["basis", "--d", "2", "--m", "2", "--format", HUGE],
+        ["hilbert", "--d", "2", "--max-m", "3", "--method", HUGE],
+        [HUGE],
+        ["dim", "--d", "2", "--m", "2", HUGE],
+    ], ids=["dim-d", "hilbert-nodes", "verify-seed", "basis-format", "hilbert-method",
+            "command", "unrecognized"])
+    def test_huge_value_not_echoed(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert len(err.encode()) < 400
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dim", "--d", "1.5", "--m", "2"], "argument --d: invalid integer: '1.5'"),
+        (["verify", "--d", "2", "--m", "2", "--seed", "s"], "argument --seed: invalid integer: 's'"),
+        (["basis", "--d", "2", "--m", "2", "--format", "xml"],
+         "argument --format: invalid choice: 'xml'"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+    ])
+    def test_short_value_quoted_whole(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestIgnoredCacheFlags:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from ncinv.group_action import (
     sym_power,
 )
 from ncinv.symbolic import NcPolynomial, leading_term, noncrossing_basis
+
+from _oracles import shear_image
 
 
 def md_pairs(limit):
@@ -188,6 +191,21 @@ def matrix_log(rows):
     return out
 
 
+def pack(word, d):
+    """A tuple word as one integer: big-endian, as many bytes per letter as d
+    needs, first letter highest."""
+    width = max(1, (d.bit_length() + 7) // 8)
+    return int.from_bytes(b"".join(k.to_bytes(width, "big") for k in word), "big")
+
+
+def packed_reference(poly, step):
+    """The tuple-word oracle's shear image, packed and scaled to integers as
+    ``_shear_image`` reports it."""
+    denominator = lcm(*(c.denominator for c in poly.terms.values()))
+    return {pack(word, poly.d): int(c * denominator)
+            for word, c in shear_image(poly.terms, poly.d, step).items()}
+
+
 def random_polynomial(data, d, m, invariant):
     """A random rational combination of basis elements; unless ``invariant``,
     plus a few random terms."""
@@ -214,7 +232,8 @@ class TestCertificate:
             log = matrix_log(sym_power(g.inverse(), d).entries)
             for k in range(d + 1):
                 image = _shear_image(NcPolynomial(d, 1, {(k,): 1}), step)
-                assert image == {(j,): log[k][j] for j in range(d + 1) if log[k][j]}
+                assert image == {pack((j,), d): log[k][j]
+                                 for j in range(d + 1) if log[k][j]}
 
     @given(st.data(), st.sampled_from(md_pairs(8) + [(3, 0), (0, 3), (1, 2)]), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -225,6 +244,23 @@ class TestCertificate:
         assert is_invariant(poly) == expected
         if invariant:
             assert expected
+        for step in (1, -1):
+            assert _shear_image(poly, step) == packed_reference(poly, step)
+
+    @pytest.mark.parametrize("d", [255, 256, 300])
+    def test_wide_letters(self, d):
+        # d = 255 packs one byte per letter, 256 and 300 two: the shears must
+        # neither carry out of a letter at a_d nor borrow at a_0.
+        (poly,) = noncrossing_basis(2, d)
+        bumped = poly + NcPolynomial(d, 2, {leading_term(poly): 1})
+        for p in (poly, bumped):
+            for step in (1, -1):
+                assert _shear_image(p, step) == packed_reference(p, step)
+        assert is_invariant(poly)
+        assert not is_invariant(bumped)
+        edges = NcPolynomial(d, 3, {(d, 0, d): 1, (0, d, 0): Fraction(-1, 3)})
+        for step in (1, -1):
+            assert _shear_image(edges, step) == packed_reference(edges, step)
 
     def test_rejects_leading_term_bump(self):
         for m, d in md_pairs(12):

@@ -7,6 +7,7 @@ from ncinv.brackets import BracketExpression, BracketMonomial
 from ncinv.partitions import enumerate_m_partite_nc_pairings
 from ncinv.symbolic import (
     NcPolynomial,
+    iter_noncrossing_basis,
     leading_term,
     noncrossing_basis,
     predicted_leading_word,
@@ -215,3 +216,9 @@ class TestBasis:
             assert len(noncrossing_basis(m, d)) == len(
                 enumerate_m_partite_nc_pairings(m, d)
             )
+
+    def test_list_of_the_generator(self):
+        for m in range(13):
+            for d in range(13):
+                if m * d <= 12:
+                    assert noncrossing_basis(m, d) == list(iter_noncrossing_basis(m, d))
