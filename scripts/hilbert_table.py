@@ -25,8 +25,10 @@ def main(argv=None) -> int:
         print(f"# d = {d}")
         print(report.to_csv())
         status = "ok" if report.ok else "MISMATCH"
+        # Each row's gate is QUADRATURE_TOL or its roundoff bound, if larger.
+        tol = max(QUADRATURE_TOL, *report.roundoff)
         print(f"# exact methods agree: {report.exact_methods_agree}, "
-              f"quadrature within {QUADRATURE_TOL:g}: "
+              f"quadrature within {tol:g}: "
               f"{report.quadrature_within_tolerance} -> {status}")
         print()
         all_ok = all_ok and report.ok

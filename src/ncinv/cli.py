@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--witnesses", type=_nonneg, default=0,
                        help="number of seeded random det-1 witnesses to apply as a "
                             "cross-check; invariance itself is proved exactly by "
-                            "the infinitesimal shears (default 0)")
+                            "the weight and the raising shear (default 0)")
     p_ver.add_argument("--seed", type=_integer, default=0)
     p_ver.add_argument("--witness-matrix", nargs=4, action="append", default=[],
                        metavar=("A", "B", "C", "E"),
@@ -231,8 +231,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # The file name is quoted shortened, as every other echoed value is.
+        message = exc.strerror or str(exc)
+        if exc.filename is not None:
+            message += f": {reprlib.repr(exc.filename)}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -8,10 +8,10 @@ forms by <a_k, F> = xi_k, so they transform contragrediently, by rows of
 M_d(g^{-1}).
 
 Invariance is proved exactly, without sampling: a polynomial is fixed by
-all of SL(2, Q) iff the two infinitesimal shears, acting on its letters as
-derivations, both annihilate it (see ``is_invariant``).  Explicit group
-elements ("witnesses") can still be applied through ``act`` as a
-cross-check.  All arithmetic is exact.
+all of SL(2, Q) iff every word has letter sum md/2 and the raising shear,
+acting on its letters as a derivation, annihilates it (see
+``is_invariant``).  Explicit group elements ("witnesses") can still be
+applied through ``act`` as a cross-check.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul
 
 from ._rational import as_rational
-from .symbolic import NcPolynomial, _places
+from .symbolic import NcPolynomial
 
 
 @dataclass(frozen=True)
@@ -178,58 +177,54 @@ def default_witnesses(seed: int = 0, random_count: int = 5) -> tuple[GroupElemen
     return (SHEAR_UPPER, SHEAR_LOWER, SCALE_TWO) + random_witnesses(seed, random_count)
 
 
-def _shear_image(poly: NcPolynomial, step: int) -> dict[int, int]:
-    """The infinitesimal shear N_+ (step 1) or N_- (step -1) applied to poly,
-    times the common denominator of its coefficients; zero terms dropped.
-    Words are packed into integers as ``symbolic._expand`` packs them:
-    _letter_width(d) bytes per letter, first letter highest.
+def _raising_image(poly: NcPolynomial) -> dict[tuple[int, ...], int]:
+    """The raising shear N_+ applied to poly, times the common denominator of
+    its coefficients; zero terms dropped.
 
     ``act`` substitutes a_k -> sum_j M_d(g^{-1})[k][j] a_j.  For the upper
     shears g_t = [[1, t], [0, 1]], g_t^{-1} = [[1, -t], [0, 1]], so b = -t
     and c = 0 in ``sym_power``: only r = j survives and, to first order in
-    t, M[k][k+1] = binom(d,k+1)/binom(d,k) (k+1) t = (d-k) t.  The lower
-    shears [[1, 0], [t, 1]] give M[k][k-1] = k t the same way.  So N_+ is
-    the derivation a_k -> (d-k) a_(k+1) and N_- is a_k -> k a_(k-1): a word
-    maps to at most m words, with integer weights.
-
-    On a packed word, moving the letter at one position up or down by one
-    adds or subtracts that position's place value.  This never carries or
-    borrows into a neighbouring letter: N_+ has weight 0 on a_d, so it only
-    raises letters k < d, to at most d, which fits the letter's bytes; N_-
-    has weight 0 on a_0, so it only lowers letters k >= 1, to at least 0.
+    t, M[k][k+1] = binom(d,k+1)/binom(d,k) (k+1) t = (d-k) t.  So N_+ is the
+    derivation a_k -> (d-k) a_(k+1): a word maps to at most m words, with
+    integer weights.
     """
     d = poly.d
-    places = _places(d, poly.m)
-    shifts = [step * at for at in places]
-    weights = [d - k if step > 0 else k for k in range(d + 1)]
     denominator = lcm(*(c.denominator for c in poly.terms.values()))
-    image: dict[int, int] = {}
+    image: dict[tuple[int, ...], int] = {}
     get = image.get
     for word, coeff in poly.terms.items():
         c = coeff.numerator * (denominator // coeff.denominator)
-        key = sum(map(mul, word, places))
-        for k, shift in zip(word, shifts):
-            weight = weights[k]
-            if weight:
-                new = key + shift
-                image[new] = get(new, 0) + weight * c
-    return {key: c for key, c in image.items() if c}
+        for i, k in enumerate(word):
+            if k < d:
+                new = word[:i] + (k + 1,) + word[i + 1:]
+                image[new] = get(new, 0) + (d - k) * c
+    return {word: c for word, c in image.items() if c}
 
 
 def is_invariant(poly: NcPolynomial, witnesses=None) -> bool:
-    """With no witnesses: True iff poly is SL(2, Q)-invariant, proved exactly.
+    """With no witnesses: True iff poly is SL(2, Q)-invariant, proved exactly:
+    every word has letter sum md/2, and N_+ kills poly.
 
     Write g_t = exp(tN) for a shear generator N.  The group acts on the
     polynomials of fixed d and m through a representation, so act(g_t) =
-    exp(tD) for the derivation D that N induces (``_shear_image``).  D is
-    nilpotent, so exp(D) - 1 = D (1 + D/2! + ...) with the second factor
-    invertible: the shear fixes poly iff D kills it, and then so does every
-    g_t, t rational.  These shears generate SL(2, Q), so annihilation by N_+
-    and N_- is equivalent to invariance -- to passing every witness,
-    SHEAR_UPPER and SHEAR_LOWER included.
+    exp(tD) for the derivation D that N induces.  D is nilpotent, so
+    exp(D) - 1 = D (1 + D/2! + ...) with the second factor invertible: the
+    shear fixes poly iff D kills it, and then so does every g_t, t rational.
+    The two shears generate SL(2, Q), so invariance means that N_+
+    (``_raising_image``) and N_-: a_k -> k a_(k-1) both kill poly.
+
+    E = N_+, F = N_- and H = [E, F] form an sl(2) triple; H multiplies a
+    word by 2 (letter sum) - md, so the letter sums test Hv = 0.  If Ev = 0
+    and Hv = 0, then E(Fv) = F(Ev) + Hv = 0 makes Fv a highest-weight vector
+    of weight -2, which a finite-dimensional module does not have: Fv = 0
+    (Fulton-Harris, Representation Theory, Lecture 11).  Conversely Ev = Fv
+    = 0 gives Hv = 0.  So the verdict equals that of the witnesses
+    SHEAR_UPPER and SHEAR_LOWER.
 
     With witnesses: True iff act(g, poly) == poly exactly for every witness g.
     """
     if witnesses is None:
-        return not _shear_image(poly, 1) and not _shear_image(poly, -1)
+        md = poly.m * poly.d
+        return (all(2 * sum(word) == md for word in poly.terms)
+                and not _raising_image(poly))
     return all(act(g, poly) == poly for g in witnesses)

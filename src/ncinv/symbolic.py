@@ -1,9 +1,9 @@
 """Noncommutative polynomials in a_0..a_d and the symbol/restitution map.
 
 Words are tuples of letter indices (0-based, length m); coefficients are
-exact Fractions.  Inside the hot loops (restitution here, the shear
-certificate in ``group_action``) a word is packed into one integer, a fixed
-number of bytes per letter.
+exact Fractions.  Only restitution's inner loop packs a word into one
+integer, a fixed number of bytes per letter; no other module sees that
+format.
 
 The letter order a_d > a_(d-1) > ... > a_0 makes the lexicographically
 greatest word of a polynomial its leading term, which is how linear
@@ -126,7 +126,8 @@ def _expand(b: BracketMonomial) -> dict[int, int]:
     A letter counts the eta_1 factors taken from its symbol, at most d, so
     adding a place value never carries into the next letter.
     """
-    place = _places(b.d, b.m)
+    bits = 8 * _letter_width(b.d)
+    place = [1 << (bits * (b.m - 1 - i)) for i in range(b.m)]
     profiles = {0: b.sign}
     for p, q in b.chords:
         # eta_1 from the symbol of p with sign +, or from that of q with sign -.
@@ -143,12 +144,6 @@ def _expand(b: BracketMonomial) -> dict[int, int]:
 
 def _letter_width(d: int) -> int:
     return max(1, (d.bit_length() + 7) // 8)
-
-
-def _places(d: int, m: int) -> list[int]:
-    """The place value of each position of a packed word of length m."""
-    bits = 8 * _letter_width(d)
-    return [1 << (bits * (m - 1 - i)) for i in range(m)]
 
 
 def _unpack(d: int, m: int, profiles: dict[int, int], denominator: int) -> NcPolynomial:

@@ -176,16 +176,3 @@ def brute_moebius(n: int) -> dict:
             mu[parts[i], q] = value
     return mu
 
-
-def shear_image(terms: dict, d: int, step: int) -> dict:
-    """The shear derivation a_k -> (d-k) a_(k+1) (step 1) or a_k -> k a_(k-1)
-    (step -1) applied, letter by letter on tuple words, to the polynomial
-    {word: coefficient}; zero terms dropped."""
-    image: dict = {}
-    for word, coeff in terms.items():
-        for pos, k in enumerate(word):
-            weight = d - k if step > 0 else k
-            if weight:
-                new = word[:pos] + (k + step,) + word[pos + 1:]
-                image[new] = image.get(new, 0) + weight * coeff
-    return {word: c for word, c in image.items() if c}

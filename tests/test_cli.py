@@ -220,6 +220,13 @@ class TestRewrite:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "rewrite", str(tmp_path / "nope.json"))
         assert code == 2
+        assert "No such file or directory" in err and "nope.json" in err
+
+    def test_huge_file_name_not_echoed(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "rewrite", str(tmp_path / ("x" * 5000)))
+        assert (code, out) == (2, "")
+        assert "File name too long" in err
+        assert len(err.encode()) < 400
 
     @pytest.mark.parametrize("payload, field", [
         ({"m": [0] * 50_000, "d": 1, "terms": []}, "m must be an integer"),

@@ -5,6 +5,7 @@ import pytest
 from ncinv.hilbert import (
     QUADRATURE_TOL,
     IntPolynomial,
+    MethodComparison,
     chebyshev_poly,
     compare_methods,
     dims_by_chebyshev,
@@ -139,3 +140,42 @@ class TestCompareMethods:
         assert lines[0] == "m,enum,cheb,quad,abs_err"
         assert len(lines) == 4
         assert lines[1].startswith("0,1,1,")
+
+
+def chebyshev_comparison(d, max_m, nodes=256):
+    """compare_methods with the Chebyshev column standing in for enumeration,
+    which would take minutes at d=9, m=11."""
+    exact = dims_by_chebyshev(d, max_m).dims
+    quad = dims_by_quadrature(d, max_m, nodes)
+    rows = tuple((m, exact[m], exact[m], q, abs(q - exact[m]))
+                 for m, q in enumerate(quad.dims))
+    return MethodComparison(d, rows, quad.roundoff)
+
+
+class TestRoundoffGate:
+    """Each row is gated on max(QUADRATURE_TOL, the quadrature's roundoff
+    bound): large integrands pass, a wrong value still fails."""
+
+    @pytest.mark.parametrize("d, m", [(9, 11), (8, 11), (4, 18), (2, 21)])
+    def test_rounding_error_above_tol_passes(self, d, m):
+        report = chebyshev_comparison(d, m)
+        assert report.rows[m][4] > QUADRATURE_TOL
+        assert report.quadrature_within_tolerance
+
+    @pytest.mark.parametrize("m", [0, 6, 11])
+    def test_row_off_by_1e_6_fails(self, m):
+        report = chebyshev_comparison(9, 11)
+        rows = list(report.rows)
+        _m, en, ch, qu, _err = rows[m]
+        rows[m] = (m, en, ch, qu + 1e-6, abs(qu + 1e-6 - en))
+        assert not MethodComparison(9, tuple(rows), report.roundoff).quadrature_within_tolerance
+
+    def test_bound_covers_the_error(self):
+        for d in range(13):
+            report = chebyshev_comparison(d, 24 if d <= 4 else 16)
+            for (m, en, _ch, _qu, err), bound in zip(report.rows, report.roundoff):
+                assert err <= bound or err <= QUADRATURE_TOL, (d, m, err, bound)
+
+    def test_small_rows_keep_the_fixed_tolerance(self):
+        q = dims_by_quadrature(4, 8, 256)
+        assert max(q.roundoff) < QUADRATURE_TOL
