@@ -68,10 +68,6 @@ class BracketMonomial:
                     f"vanishing bracket: slots {p},{q} belong to one symbol"
                 )
 
-    def interval(self, slot: int) -> int:
-        """0-based index of the symbol owning a slot."""
-        return window_of(slot, self.d)
-
     def crossing_count(self) -> int:
         return sum(1 for _ in crossing_quads(self.chords))
 

@@ -40,10 +40,6 @@ class IntPolynomial:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not self.coeffs or not other.coeffs:
             return IntPolynomial(())
@@ -98,16 +94,14 @@ def semicircle_moment(k: int) -> int:
 
 @dataclass(frozen=True)
 class DimensionSeries:
-    """dims[m] for m = 0..M, tagged with the method that produced it.
+    """dims[m] for m = 0..M.
 
-    Exact methods carry ints; quadrature carries floats plus per-entry
-    node-doubling error estimates and roundoff bounds.
+    Exact methods carry ints; quadrature carries floats plus a rounding-error
+    bound per entry.
     """
 
     d: int
     dims: tuple
-    method: str
-    error: tuple[float, ...] | None = None
     roundoff: tuple[float, ...] | None = None
 
 
@@ -119,7 +113,7 @@ def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
         raise ValueError("d and max_m must be nonnegative")
     dims = tuple(sum(1 for _ in _iter_nc_matchings(m * d, d))
                  for m in range(max_m + 1))
-    return DimensionSeries(d, dims, "enumeration")
+    return DimensionSeries(d, dims)
 
 
 def dims_by_chebyshev(d: int, max_m: int) -> DimensionSeries:
@@ -132,16 +126,17 @@ def dims_by_chebyshev(d: int, max_m: int) -> DimensionSeries:
     for _m in range(max_m + 1):
         dims.append(sum(c * semicircle_moment(k) for k, c in enumerate(power.coeffs)))
         power = power * u
-    return DimensionSeries(d, tuple(dims), "chebyshev")
+    return DimensionSeries(d, tuple(dims))
 
 
 _GAUSS3_OFFSET = math.sqrt(3.0 / 5.0)
 _EPS = sys.float_info.epsilon
 
 
-def _quadrature_row(d: int, max_m: int, nodes: int) -> tuple[list[float], list[float]]:
-    """Composite three-point Gauss rule on [0, pi] with `nodes` panels: the
-    value for each m, and a bound on its rounding error.
+def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
+    """Molien integral (2/pi) Int_0^pi (sin((d+1)x)/sin x)^m sin^2 x dx per m,
+    by one composite three-point Gauss rule on [0, pi] with `nodes` panels,
+    with a bound on each entry's rounding error.
 
     All nodes are interior, so the removable endpoint singularity of the
     ratio never needs special casing.  Powers of the ratio are accumulated
@@ -153,7 +148,15 @@ def _quadrature_row(d: int, max_m: int, nodes: int) -> tuple[list[float], list[f
     and scaling a few roundings more.  The bound is therefore
     (m(d+1) + 3) eps sum |p_i w_i| 2/pi, with eps = 2u as margin; the tests
     check it against the exact values up to d = 12.
+
+    Raises ValueError, before fsum sees an infinity, at the first m whose
+    terms or the sum of their sizes leave the float range; the exact methods
+    have no such limit.
     """
+    if nodes < 1:
+        raise ValueError("need at least 1 panel")
+    if d < 0 or max_m < 0:
+        raise ValueError("d and max_m must be nonnegative")
     h = math.pi / nodes
     half = h / 2.0
     off = half * _GAUSS3_OFFSET
@@ -172,27 +175,21 @@ def _quadrature_row(d: int, max_m: int, nodes: int) -> tuple[list[float], list[f
     powers = [1.0] * len(ratios)
     for m in range(max_m + 1):
         terms = list(map(mul, powers, weights))
+        # Infinite once a power, a term or their sum overflows: checked before
+        # fsum, which would return inf for even m and fail on -inf + inf for odd.
+        size = sum(map(abs, terms))
+        if not math.isfinite(size):
+            raise ValueError(f"quadrature at d={d} overflows a float at m={m}; "
+                             f"use the chebyshev method, which is exact at every size")
         total = math.fsum(terms)
-        # The weights and even powers are nonnegative: then sum |terms| = total.
-        size = sum(map(abs, terms)) if m % 2 else total
+        if m % 2 == 0:
+            # The weights and even powers are nonnegative: then sum |terms| = total.
+            size = total
         del terms  # before the next powers are built, to hold two node lists, not three
         out.append(total * 2.0 / math.pi)
         bounds.append((m * (d + 1) + 3) * _EPS * size * 2.0 / math.pi)
         powers = list(map(mul, powers, ratios))
-    return out, bounds
-
-
-def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
-    """Molien integral (2/pi) Int_0^pi (sin((d+1)x)/sin x)^m sin^2 x dx per m,
-    with a node-doubling error estimate and a roundoff bound for each entry."""
-    if nodes < 1:
-        raise ValueError("need at least 1 panel")
-    if d < 0 or max_m < 0:
-        raise ValueError("d and max_m must be nonnegative")
-    coarse, roundoff = _quadrature_row(d, max_m, nodes)
-    fine, _ = _quadrature_row(d, max_m, 2 * nodes)
-    err = tuple(abs(a - b) for a, b in zip(coarse, fine))
-    return DimensionSeries(d, tuple(coarse), "quadrature", error=err, roundoff=tuple(roundoff))
+    return DimensionSeries(d, tuple(out), roundoff=tuple(bounds))
 
 
 QUADRATURE_TOL = 1e-8
@@ -229,10 +226,12 @@ class MethodComparison:
 
 
 def compare_methods(d: int, max_m: int, *, nodes: int = 256) -> MethodComparison:
-    """Run all three methods and tabulate (m, enum, cheb, quad, |quad-exact|)."""
+    """Run all three methods and tabulate (m, enum, cheb, quad, |quad-exact|).
+    The quadrature runs first, so that a request it refuses fails before the
+    exponential enumeration starts."""
+    quad = dims_by_quadrature(d, max_m, nodes)
     enum = dims_by_enumeration(d, max_m)
     cheb = dims_by_chebyshev(d, max_m)
-    quad = dims_by_quadrature(d, max_m, nodes)
     rows = tuple(
         (m, enum.dims[m], cheb.dims[m], quad.dims[m], abs(quad.dims[m] - enum.dims[m]))
         for m in range(max_m + 1)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .brackets import BracketExpression, BracketMonomial
-from .partitions import _iter_nc_matchings
+from .partitions import _iter_nc_matchings, window_of
 
 
 class NcPolynomial:
@@ -131,7 +131,7 @@ def _expand(b: BracketMonomial) -> dict[int, int]:
     profiles = {0: b.sign}
     for p, q in b.chords:
         # eta_1 from the symbol of p with sign +, or from that of q with sign -.
-        at_p, at_q = place[b.interval(p)], place[b.interval(q)]
+        at_p, at_q = place[window_of(p, b.d)], place[window_of(q, b.d)]
         nxt: dict[int, int] = {}
         get = nxt.get
         for key, coeff in profiles.items():
@@ -198,7 +198,7 @@ def predicted_leading_word(b: BracketMonomial) -> tuple[int, ...]:
         raise ValueError("leading word prediction needs a noncrossing monomial")
     counts = [0] * b.m
     for p, _q in b.chords:
-        counts[b.interval(p)] += 1
+        counts[window_of(p, b.d)] += 1
     return tuple(counts)
 
 

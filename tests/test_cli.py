@@ -140,6 +140,19 @@ class TestHilbert:
         assert len(lines) == 6
         assert lines[3].startswith("2,1,1,")
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_quadrature_prints_finite_values_or_exits_2(self, capsys, fmt):
+        quad = ["hilbert", "--method", "quadrature", "--format", fmt]
+        code, out, err = run_cli(capsys, *quad, "--d", "2", "--max-m", "640")
+        assert (code, err) == (0, "")
+        assert "inf" not in out.lower()
+        for argv, m in ((["--d", "2", "--max-m", "700"], 647),
+                        (["--d", "99", "--max-m", "200"], 155)):
+            code, out, err = run_cli(capsys, *quad, *argv)
+            assert (code, out) == (2, "")
+            assert f"overflows a float at m={m}" in err and "chebyshev" in err
+            assert "fsum" not in err
+
     def test_negative_precision_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hilbert", "--d", "2", "--max-m", "3", "--method", "quadrature",

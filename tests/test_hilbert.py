@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ncinv import hilbert
 from ncinv.hilbert import (
     QUADRATURE_TOL,
     IntPolynomial,
@@ -104,10 +105,12 @@ class TestQuadrature:
             for m in range(9):
                 assert abs(q.dims[m] - exact[m]) < 1e-8
 
-    def test_error_estimates_present(self):
-        q = dims_by_quadrature(2, 4, 32)
-        assert q.error is not None and len(q.error) == 5
-        assert all(e >= 0 for e in q.error)
+    @pytest.mark.parametrize("d, first", [(2, 647), (99, 155)])
+    def test_overflow_refused_at_the_first_row_that_leaves_the_float_range(self, d, first):
+        q = dims_by_quadrature(d, first - 1, 256)
+        assert all(math.isfinite(v) for v in q.dims + q.roundoff)
+        with pytest.raises(ValueError, match=f"d={d} overflows a float at m={first};"):
+            dims_by_quadrature(d, first, 256)
 
     def test_rejects_bad_nodes(self):
         with pytest.raises(ValueError):
@@ -134,6 +137,16 @@ class TestCompareMethods:
             if (m * 3) % 2:
                 assert en == 0 and ch == 0
                 assert abs(qu) < 1e-10
+
+    def test_quadrature_refusal_comes_before_the_enumeration(self, monkeypatch):
+        def enumeration_not_expected(d, max_m):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(hilbert, "dims_by_enumeration", enumeration_not_expected)
+        with pytest.raises(ValueError, match="panel"):
+            compare_methods(2, 17, nodes=0)
+        with pytest.raises(ValueError, match="overflows"):
+            compare_methods(2, 700)
 
     def test_csv_format(self):
         lines = compare_methods(1, 2, nodes=64).to_csv().splitlines()

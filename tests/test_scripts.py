@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import ncinv
+from ncinv.hilbert import dims_by_quadrature
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -30,4 +31,10 @@ def test_quadrature_convergence():
     lines = run_script("quadrature_convergence.py",
                        "--max-d", "1", "--max-m", "3", "--max-panels", "8")
     assert lines[:2] == ["# d = 1", "panels,max_abs_err,estimate"]
-    assert [line.split(",")[0] for line in lines[2:6]] == ["1", "2", "4", "8"]
+    rows = [line.split(",") for line in lines[2:6]]
+    assert [row[0] for row in rows] == ["1", "2", "4", "8"]
+    # The estimate for p panels is the node-doubling difference max |Q_p - Q_2p|.
+    for panels, _err, estimate in rows:
+        coarse = dims_by_quadrature(1, 3, int(panels)).dims
+        fine = dims_by_quadrature(1, 3, 2 * int(panels)).dims
+        assert estimate == f"{max(abs(a - b) for a, b in zip(coarse, fine)):.3e}"
