@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import mul
 
 from .partitions import _iter_nc_matchings, catalan
@@ -50,13 +51,8 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * size
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial(tuple(out))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPolynomial(tuple(a - b for a, b in pairs))
 
     def __call__(self, x):
         out = 0
@@ -79,10 +75,8 @@ def chebyshev_poly(n: int) -> IntPolynomial:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = _ONE, _X
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
+    prev, cur = IntPolynomial(()), _ONE  # U_(-1) = 0 starts the recursion
+    for _ in range(n):
         prev, cur = cur, _X * cur - prev
     return cur
 

@@ -43,7 +43,7 @@ class SetPartition:
         raw.sort(key=lambda block: block[0])
         object.__setattr__(self, "blocks", tuple(raw))
         support = sorted(x for block in raw for x in block)
-        if support != list(range(1, self.n + 1)):
+        if len(support) != self.n or support != list(range(1, self.n + 1)):
             raise ValueError(f"blocks do not partition 1..{self.n}: {raw!r}")
 
     @classmethod
@@ -193,56 +193,66 @@ def enumerate_nc(n: int) -> list[SetPartition]:
     return [SetPartition._trusted(n, blocks) for blocks in iter_nc_blocks(n)]
 
 
-def _iter_nc_matchings(n: int, d: int):
-    """Yield chord tuples of noncrossing perfect matchings of [n] with no
-    chord inside one window of d consecutive positions.
-
-    Positions are scanned left to right; each either opens a new chord or
-    closes the most recent open one (the stack discipline is exactly
-    noncrossingness).  Closing against an opener from the current window is
-    forbidden, which prunes non-partite branches immediately.  The search
-    walks an explicit path of choices, so every matching is yielded straight
-    from this frame instead of through one generator per position.
+def _fillable(a: int, b: int, d: int) -> bool:
+    """True iff positions a..b have a noncrossing perfect matching with no
+    chord inside a window: iff their count L is even and no window holds
+    more than L/2 of them.  Necessity: every point needs a partner outside
+    its window.  Sufficiency, by induction on L: the windows cut the points
+    into runs; match the two adjacent points across an edge of a largest
+    run R.  That chord crosses nothing, and the rule holds on the L - 2
+    points left: R and its neighbour each lose one, and any other run T has
+    2|T| <= |T| + |R| <= L - 1.
     """
-    if n % 2:
+    size, wa, wb = b - a + 1, window_of(a, d), window_of(b, d)
+    # The fullest window is a whole one between a's and b's, or one of theirs.
+    most = d if wb - wa > 1 else max(min(b, wa * d + d) - a + 1, b - max(a - 1, wb * d))
+    return size % 2 == 0 and 2 * most <= size
+
+
+def _iter_nc_matchings(n: int, d: int):
+    """Yield, in sorted order, the chord tuples of the noncrossing perfect
+    matchings of [n] with no chord inside a window of d consecutive points.
+
+    The least unmatched point u is matched with each admissible partner j in
+    increasing order, then the gap inside (u, j) is filled, then the rest of
+    u's gap.  j is admissible when it is in another window than u and both
+    gaps it leaves are fillable, so the walk has no dead ends, and as u is
+    the least open point the tuples come out sorted (Knuth, TAOCP 4A,
+    7.2.1.6).  Each gap's partner list is built once.  The walk is one loop
+    over an explicit path and undoes its choices through a trail.
+    """
+    if n and not _fillable(1, n, d):
         return
-    openers: list[int] = []  # chords in order of their openers, i.e. sorted
-    closers: list[int] = []
-    stack: list[int] = []  # indices of the open chords
-    path: list[int] = []  # per position so far: the chord it closed, or -1
-    t, may_close = 1, True
+    lists: list[list] = [[None] * (n + 1) for _ in range(n + 1)]  # [u][end]
+    chords: list[tuple[int, int]] = []
+    trail = []  # per chord: its gap's end, the gaps waiting, its list, index
+    u, end, waiting, k = 1, n, None, 0  # waiting: (start, end, rest) or None
     while True:
-        if t > n:
-            yield tuple(zip(openers, closers))
-        # Window test inlined, not window_of: this is the enumeration hot loop.
-        elif (may_close and stack
-              and (openers[stack[-1]] - 1) // d != (t - 1) // d):
-            i = stack.pop()
-            closers[i] = t
-            path.append(i)
-            t += 1
-            continue
-        elif len(stack) < n - t:
-            stack.append(len(openers))
-            openers.append(t)
-            closers.append(0)
-            path.append(-1)
-            t, may_close = t + 1, True
-            continue
-        # Back up to the latest position that closed a chord, to open one
-        # there instead.
-        while True:
-            if not path:
-                return
-            t -= 1
-            i = path.pop()
-            if i >= 0:
-                stack.append(i)
-                may_close = False
-                break
-            stack.pop()
-            openers.pop()
-            closers.pop()
+        if u > end and waiting:
+            u, end, waiting = waiting
+        if u > end:
+            yield tuple(chords)
+            # Undo chords until one has a partner left to try.
+            while True:
+                if not trail:
+                    return
+                u = chords.pop()[0]
+                end, waiting, partners, k = trail.pop()
+                k += 1
+                if k < len(partners):
+                    break
+        partners = lists[u][end]
+        if partners is None:
+            partners = lists[u][end] = [
+                j for j in range(u + 1, end + 1, 2)
+                if window_of(j, d) != window_of(u, d)
+                and _fillable(u + 1, j - 1, d) and _fillable(j + 1, end, d)]
+        j = partners[k]
+        chords.append((u, j))
+        trail.append((end, waiting, partners, k))
+        if j < end:
+            waiting = (j + 1, end, waiting)
+        u, end, k = u + 1, j - 1, 0
 
 
 def is_m_partite(p: SetPartition, d: int) -> bool:
@@ -263,9 +273,8 @@ def is_m_partite(p: SetPartition, d: int) -> bool:
 
 def enumerate_m_partite_nc_pairings(m: int, d: int) -> list[PairPartition]:
     """All noncrossing pair partitions of [md] that are m-partite for
-    interval size d; empty when md is odd."""
-    n = m * d
-    return [PairPartition(n, ch) for ch in sorted(_iter_nc_matchings(n, d))]
+    interval size d, in sorted order; empty when md is odd."""
+    return [PairPartition(m * d, ch) for ch in _iter_nc_matchings(m * d, d)]
 
 
 def count_m_partite_nc_pairings(m: int, d: int) -> int:
@@ -323,6 +332,8 @@ def nc_moebius(p: SetPartition, q: SetPartition) -> int:
     """
     if p.n != q.n:
         raise ValueError("mismatched ground sets")
+    if not (is_noncrossing(p) and is_noncrossing(q)):
+        raise ValueError("both partitions must be noncrossing")
     if not leq(p, q):
         raise ValueError("p must refine q")
     before: dict[int, int] = {}  # x -> its predecessor under the cycle of p
@@ -364,23 +375,18 @@ def thicken(p: PairPartition, m: int, d: int) -> SetPartition:
         raise ValueError("pairing must be noncrossing")
     if not is_m_partite(p, d):
         raise ValueError("pairing must be m-partite")
-    half = n // 2
-    parent = list(range(half + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in p.blocks:
-        ra, rb = find((a + 1) // 2), find((b + 1) // 2)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for t in range(1, half + 1):
-        groups.setdefault(find(t), []).append(t)
-    return SetPartition(half, tuple(tuple(g) for g in groups.values()))
+    # A block {t_1 < ... < t_k} is the cycle t -> ceil(partner(2t) / 2).
+    partner = {x: y for a, b in p.blocks for x, y in ((a, b), (b, a))}
+    blocks, seen = [], set()
+    for start in range(1, n // 2 + 1):
+        block, t = [], start
+        while t not in seen:
+            seen.add(t)
+            block.append(t)
+            t = (partner[2 * t] + 1) // 2
+        if block:
+            blocks.append(tuple(block))
+    return SetPartition(n // 2, tuple(blocks))
 
 
 def unthicken(q: SetPartition, m: int, d: int) -> PairPartition:

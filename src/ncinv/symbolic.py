@@ -10,9 +10,9 @@ greatest word of a polynomial its leading term, which is how linear
 independence of the noncrossing basis is certified: the leading word of the
 restitution of a noncrossing pairing counts, interval by interval, the
 chords leaving that interval to the right, and distinct noncrossing
-pairings give distinct counts.  ``iter_noncrossing_basis`` builds the basis
-one element at a time, so a caller that prints or checks each element in
-turn holds only one polynomial.
+pairings give distinct counts.  ``iter_noncrossing_basis`` yields the basis
+one element at a time, in sorted chord order, so a caller that prints or
+checks each element in turn holds only one polynomial.
 """
 
 from __future__ import annotations
@@ -204,9 +204,9 @@ def predicted_leading_word(b: BracketMonomial) -> tuple[int, ...]:
 
 def iter_noncrossing_basis(m: int, d: int):
     """Yield the restitutions of the m-partite noncrossing pairings
-    (canonical orientation, sign +1) one at a time, in sorted chord order.
-    Only the sorted chord tuples are held, never more than one polynomial."""
-    for chords in sorted(_iter_nc_matchings(m * d, d)):
+    (canonical orientation, sign +1) in sorted chord order, each as soon as
+    the pairing walk reaches it; never more than one polynomial is held."""
+    for chords in _iter_nc_matchings(m * d, d):
         yield restitution(BracketMonomial(m, d, chords, 1))
 
 

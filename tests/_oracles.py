@@ -53,6 +53,19 @@ def all_perfect_matchings(n: int):
     yield from rec(elements)
 
 
+@functools.cache
+def nc_perfect_matchings(a: int, b: int) -> tuple:
+    """All noncrossing perfect matchings of the positions a..b, as sorted
+    chord tuples: a pairs with some j, and the points inside (a, j) and
+    those after j match among themselves."""
+    if a > b:
+        return ((),)
+    return tuple(((a, j),) + inner + outer
+                 for j in range(a + 1, b + 1, 2)
+                 for inner in nc_perfect_matchings(a + 1, j - 1)
+                 for outer in nc_perfect_matchings(j + 1, b))
+
+
 def iter_crossing_quadruples(blocks):
     """Yield, in lexicographic order, every quadruple i<i'<j<j' with i~j,
     i'~j', i not~ i', straight from the definition."""

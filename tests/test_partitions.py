@@ -1,9 +1,12 @@
+import time
 from math import comb
 
 import pytest
 from ncinv.partitions import (
     PairPartition,
     SetPartition,
+    _fillable,
+    _iter_nc_matchings,
     catalan,
     count_m_partite_nc_pairings,
     enumerate_m_partite_nc_pairings,
@@ -28,6 +31,7 @@ from _oracles import (
     brute_crossing_quadruples,
     brute_is_noncrossing,
     brute_moebius,
+    nc_perfect_matchings,
 )
 
 
@@ -52,6 +56,13 @@ class TestSetPartition:
 
     def test_equality_across_subclass(self):
         assert PairPartition(2, ((1, 2),)) == SetPartition(2, ((1, 2),))
+
+    def test_huge_ground_set_rejected_at_once(self):
+        # The support is compared by length before 1..n is built.
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            SetPartition(10**12, ((1,),))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestNoncrossing:
@@ -172,6 +183,31 @@ class TestMPartite:
         assert len(enumerate_m_partite_nc_pairings(2, 0)) == 1
 
 
+class TestPairingWalk:
+    def test_oracle_is_the_brute_filter(self):
+        for n in range(11):
+            brute = {ch for ch in all_perfect_matchings(n) if brute_is_noncrossing(ch)}
+            assert set(nc_perfect_matchings(1, n)) == brute
+
+    def test_gap_rule_matches_search(self):
+        # Every interval a..b inside 1..16, the empty ones included.
+        for d in range(1, 6):
+            for a in range(1, 17):
+                for b in range(a - 1, 17):
+                    brute = any(blocks_are_m_partite(ch, d)
+                                for ch in nc_perfect_matchings(a, b))
+                    assert _fillable(a, b, d) == brute, (a, b, d)
+
+    def test_raw_walk_sorted_and_complete(self):
+        for d in range(17):
+            for m in range(17 if d == 0 else 16 // d + 1):
+                n = m * d
+                walk = list(_iter_nc_matchings(n, d))
+                assert walk == sorted(set(walk))
+                assert set(walk) == {ch for ch in nc_perfect_matchings(1, n)
+                                     if blocks_are_m_partite(ch, d)}, (m, d)
+
+
 class TestTransferCount:
     """count_m_partite_nc_pairings counts by stack height; every other route
     here visits pairings or expands polynomials."""
@@ -240,6 +276,13 @@ class TestMoebius:
         table = brute_moebius(n)
         for (p, q), mu in table.items():
             assert nc_moebius(SetPartition(n, p), SetPartition(n, q)) == mu, (p, q)
+
+    def test_rejects_crossing_partitions(self):
+        crossing = SetPartition(4, ((1, 3), (2, 4)))
+        with pytest.raises(ValueError, match="noncrossing"):
+            nc_moebius(zero_partition(4), crossing)
+        with pytest.raises(ValueError, match="noncrossing"):
+            nc_moebius(crossing, one_partition(4))
 
     def test_not_comparable(self):
         p = SetPartition(4, ((1, 2), (3, 4)))

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import ncinv.symbolic
 from ncinv.brackets import BracketExpression, BracketMonomial
 from ncinv.partitions import enumerate_m_partite_nc_pairings
 from ncinv.symbolic import (
@@ -216,6 +217,20 @@ class TestBasis:
             assert len(noncrossing_basis(m, d)) == len(
                 enumerate_m_partite_nc_pairings(m, d)
             )
+
+    def test_first_element_after_one_pairing(self, monkeypatch):
+        walk = ncinv.symbolic._iter_nc_matchings
+        pairings = []
+
+        def counted(n, d):
+            for chords in walk(n, d):
+                pairings.append(chords)
+                yield chords
+
+        monkeypatch.setattr(ncinv.symbolic, "_iter_nc_matchings", counted)
+        first = next(iter_noncrossing_basis(6, 2))
+        assert len(pairings) == 1
+        assert first == noncrossing_basis(6, 2)[0]
 
     def test_list_of_the_generator(self):
         for m in range(13):
