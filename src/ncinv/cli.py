@@ -3,27 +3,15 @@
 Subcommands: dim, basis, hilbert, rewrite, verify, moments.  Exit codes:
 0 success, 1 verification failure, 2 usage or data error.  Rational values
 print as "p/q" strings; only quadrature columns print decimals, at the
-precision set by --precision.
+precision set by --precision.  Each handler imports the layers it runs, so
+a command loads no others.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import reprlib
 import sys
-
-from .brackets import BracketExpression, to_noncrossing
-from .freeprob import CumulantSequence, moments_from_cumulants
-from .group_action import GroupElement, is_invariant, random_witnesses
-from .hilbert import (
-    compare_methods,
-    dims_by_chebyshev,
-    dims_by_enumeration,
-    dims_by_quadrature,
-)
-from .partitions import count_m_partite_nc_pairings
-from .symbolic import iter_noncrossing_basis
 
 
 def _add_cache_flags(parser: argparse.ArgumentParser) -> None:
@@ -122,11 +110,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dim(args) -> int:
+    from .partitions import count_m_partite_nc_pairings
+
     print(count_m_partite_nc_pairings(args.m, args.d))
     return 0
 
 
 def _cmd_basis(args) -> int:
+    import json
+
+    from .symbolic import iter_noncrossing_basis
+
     # One element at a time: each is written before the next is built.
     basis = iter_noncrossing_basis(args.m, args.d)
     if args.format == "json":
@@ -145,10 +139,14 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    import json
+
+    from . import hilbert
+
     fmt = args.format or ("csv" if args.method == "all" else "text")
 
     if args.method == "all":
-        report = compare_methods(args.d, args.max_m, nodes=args.nodes)
+        report = hilbert.compare_methods(args.d, args.max_m, nodes=args.nodes)
         if fmt == "json":
             print(json.dumps({
                 "d": report.d,
@@ -165,11 +163,11 @@ def _cmd_hilbert(args) -> int:
         return 0
 
     if args.method == "enumeration":
-        dims = list(dims_by_enumeration(args.d, args.max_m).dims)
+        dims = list(hilbert.dims_by_enumeration(args.d, args.max_m).dims)
     elif args.method == "chebyshev":
-        dims = list(dims_by_chebyshev(args.d, args.max_m).dims)
+        dims = list(hilbert.dims_by_chebyshev(args.d, args.max_m).dims)
     else:
-        dims = list(dims_by_quadrature(args.d, args.max_m, args.nodes).dims)
+        dims = list(hilbert.dims_by_quadrature(args.d, args.max_m, args.nodes).dims)
 
     def fmt_value(v):
         return f"{v:.{args.precision}g}" if isinstance(v, float) else str(v)
@@ -186,6 +184,10 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
+    import json
+
+    from .brackets import BracketExpression, to_noncrossing
+
     with open(args.expression_file, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -197,6 +199,9 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .group_action import GroupElement, is_invariant, random_witnesses
+    from .symbolic import iter_noncrossing_basis
+
     witnesses = list(random_witnesses(args.seed, args.witnesses))
     for quad in args.witness_matrix:
         witnesses.append(GroupElement(*quad))
@@ -210,6 +215,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from .freeprob import CumulantSequence, moments_from_cumulants
+
     rule = CumulantSequence.parse(args.rule)
     moments = moments_from_cumulants(rule, args.n)
     print(",".join(str(moments[k]) for k in range(args.n + 1)))

@@ -111,14 +111,19 @@ def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
 
 
 def dims_by_chebyshev(d: int, max_m: int) -> DimensionSeries:
-    """dims[m] = semicircle moment of U_d(x)^m, expanded exactly."""
+    """dims[m] = semicircle moment of U_d(x)^m, expanded exactly.  The odd
+    moments vanish and the moment of order 2n is the Catalan number C_n,
+    grown once per call by C_(n+1) = C_n 2(2n+1)/(n+2)."""
     if d < 0 or max_m < 0:
         raise ValueError("d and max_m must be nonnegative")
     u = chebyshev_poly(d)
+    even_moments = [1]
+    for n in range(max_m * d // 2):
+        even_moments.append(even_moments[n] * 2 * (2 * n + 1) // (n + 2))
     power = _ONE
     dims = []
     for _m in range(max_m + 1):
-        dims.append(sum(c * semicircle_moment(k) for k, c in enumerate(power.coeffs)))
+        dims.append(sum(map(mul, power.coeffs[::2], even_moments)))
         power = power * u
     return DimensionSeries(d, tuple(dims))
 

@@ -274,6 +274,8 @@ def is_m_partite(p: SetPartition, d: int) -> bool:
 def enumerate_m_partite_nc_pairings(m: int, d: int) -> list[PairPartition]:
     """All noncrossing pair partitions of [md] that are m-partite for
     interval size d, in sorted order; empty when md is odd."""
+    if m < 0 or d < 0:
+        raise ValueError("m and d must be nonnegative")
     return [PairPartition(m * d, ch) for ch in _iter_nc_matchings(m * d, d)]
 
 

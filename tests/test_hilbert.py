@@ -70,6 +70,16 @@ class TestExactSeries:
         assert dims_by_chebyshev(2, 2).dims[2] == 1
         assert dims_by_chebyshev(3, 2).dims[2] == 1
 
+    def test_chebyshev_matches_expansion_by_catalan(self):
+        # The route grows its own Catalan numbers; expand here with catalan().
+        for d in range(7):
+            u, power, want = chebyshev_poly(d), IntPolynomial((1,)), []
+            for _m in range(41):
+                want.append(sum(c * catalan(k // 2) for k, c in enumerate(power.coeffs)
+                                if k % 2 == 0))
+                power = power * u
+            assert dims_by_chebyshev(d, 40).dims == tuple(want), d
+
     def test_semicircle_moments(self):
         for k in range(9):
             assert semicircle_moment(2 * k) == catalan(k)

@@ -1,0 +1,112 @@
+"""What importing ncinv and running one subcommand load.  Each check runs in
+a fresh interpreter, so that modules loaded by other tests do not count."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ncinv
+
+SRC = str(Path(ncinv.__file__).resolve().parents[1])
+
+# Every name the package exported when it imported its modules eagerly.
+EXPORTS = {
+    "brackets": ["BracketExpression", "BracketMonomial", "VanishingBracketError",
+                 "from_pairs", "pluecker_step", "to_noncrossing"],
+    "freeprob": ["CumulantSequence", "MomentSequence", "cumulants_from_moments",
+                 "moments_from_cumulants", "psi_mixed_moment", "psi_orthogonality"],
+    "group_action": ["GroupElement", "SymPowerMatrix", "act", "default_witnesses",
+                     "is_invariant", "random_group_element", "random_witnesses",
+                     "sym_power"],
+    "hilbert": ["DimensionSeries", "IntPolynomial", "MethodComparison", "chebyshev_poly",
+                "compare_methods", "dims_by_chebyshev", "dims_by_enumeration",
+                "dims_by_quadrature"],
+    "partitions": ["PairPartition", "SetPartition", "catalan",
+                   "count_m_partite_nc_pairings", "enumerate_m_partite_nc_pairings",
+                   "enumerate_nc", "is_m_partite", "is_noncrossing", "leq", "nc_moebius",
+                   "one_partition", "thicken", "unthicken", "zero_partition"],
+    "symbolic": ["NcPolynomial", "iter_noncrossing_basis", "leading_term",
+                 "noncrossing_basis", "predicted_leading_word", "restitution"],
+}
+
+LOADED = "sorted(k for k in sys.modules if k.startswith('ncinv.'))"
+
+
+def fresh(code: str):
+    """Run `code` in a new interpreter and return the JSON it prints last."""
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_module():
+    assert fresh(f"import json, sys; import ncinv; print(json.dumps({LOADED}))") == []
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["dim", "--d", "4", "--m", "6"], ["partitions"]),
+    (["moments", "--rule", "semicircle", "--n", "6"], ["_rational", "freeprob"]),
+    (["hilbert", "--d", "2", "--max-m", "4", "--method", "chebyshev"],
+     ["hilbert", "partitions"]),
+    (["hilbert", "--d", "2", "--max-m", "4"], ["hilbert", "partitions"]),
+    (["rewrite", "EXPRESSION"], ["_rational", "brackets", "partitions"]),
+    (["basis", "--d", "2", "--m", "4"], ["_rational", "brackets", "partitions", "symbolic"]),
+    (["verify", "--d", "2", "--m", "4", "--witnesses", "1"],
+     ["_rational", "brackets", "group_action", "partitions", "symbolic"]),
+], ids=["dim", "moments", "hilbert-chebyshev", "hilbert-all", "rewrite", "basis", "verify"])
+def test_subcommand_loads_its_layers_only(tmp_path, argv, layers):
+    expression = tmp_path / "expression.json"
+    expression.write_text(json.dumps({
+        "m": 4, "d": 1, "terms": [{"coeff": "1", "chords": [[1, 3], [2, 4]], "sign": 1}],
+    }), encoding="utf-8")
+    argv = [str(expression) if a == "EXPRESSION" else a for a in argv]
+    code = ("import contextlib, io, json, sys\n"
+            "from ncinv.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            f"print(json.dumps([code, {LOADED}]))")
+    assert fresh(code) == [0, sorted(["ncinv.cli"] + [f"ncinv.{x}" for x in layers])]
+
+
+def test_every_export_resolves_to_its_home_object():
+    pairs = [[home, name] for home, names in EXPORTS.items() for name in names]
+    code = ("import importlib, json, ncinv\n"
+            f"pairs = {pairs!r}\n"
+            "print(json.dumps([[home, name] for home, name in pairs if getattr(ncinv, name)"
+            " is not getattr(importlib.import_module('ncinv.' + home), name)]))")
+    assert fresh(code) == []
+
+
+def test_modules_resolve_as_attributes():
+    code = ("import importlib, json, ncinv\n"
+            f"print(json.dumps([getattr(ncinv, m) is importlib.import_module('ncinv.' + m)"
+            f" for m in {sorted(EXPORTS)!r}]))")
+    assert fresh(code) == [True] * len(EXPORTS)
+
+
+def test_dir_lists_the_exports_and_unknown_names_raise():
+    code = ("import json, ncinv\n"
+            "try:\n"
+            "    ncinv.no_such_name\n"
+            "    raised = None\n"
+            "except AttributeError as exc:\n"
+            "    raised = str(exc)\n"
+            "print(json.dumps([dir(ncinv), raised]))")
+    listed, raised = fresh(code)
+    names = [name for names in EXPORTS.values() for name in names]
+    assert set(names) | set(EXPORTS) <= set(listed)
+    assert raised == "module 'ncinv' has no attribute 'no_such_name'"
+
+
+def test_star_import_binds_the_exports_and_modules():
+    code = ("import json\n"
+            "ns = {}\n"
+            "exec('from ncinv import *', ns)\n"
+            "print(json.dumps(sorted(k for k in ns if k != '__builtins__')))")
+    names = [name for names in EXPORTS.values() for name in names]
+    assert fresh(code) == sorted(names + list(EXPORTS))

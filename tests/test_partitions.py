@@ -248,6 +248,12 @@ class TestTransferCount:
         with pytest.raises(ValueError):
             count_m_partite_nc_pairings(2, -1)
 
+    def test_enumeration_rejects_negative_like_the_count(self):
+        # With both negative, md is a valid size: (-4, -1) is [4], (-2, -1) is [2].
+        for m, d in [(-4, -1), (-2, -1), (-1, 2), (2, -1)]:
+            with pytest.raises(ValueError, match="m and d must be nonnegative"):
+                enumerate_m_partite_nc_pairings(m, d)
+
 
 class TestLattice:
     def test_leq_examples(self):
