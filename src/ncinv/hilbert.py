@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from operator import mul
 
-from .partitions import _iter_nc_matchings, catalan
+from .partitions import _iter_nc_matchings
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class IntPolynomial:
             return IntPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
+            if ci:  # powers of U_d have only odd or only even terms
+                for j, cj in enumerate(other.coeffs):
+                    out[i + j] += ci * cj
         return IntPolynomial(tuple(out))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -79,11 +80,6 @@ def chebyshev_poly(n: int) -> IntPolynomial:
     for _ in range(n):
         prev, cur = cur, _X * cur - prev
     return cur
-
-
-def semicircle_moment(k: int) -> int:
-    """k-th moment of the standard semicircle law: C_(k/2) for even k."""
-    return catalan(k // 2) if k % 2 == 0 else 0
 
 
 @dataclass(frozen=True)

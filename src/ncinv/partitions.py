@@ -4,7 +4,8 @@ Partitions are kept in canonical form: every block is a sorted tuple and the
 blocks are listed in order of their minima.  Elements are 1-based, matching
 the usual diagram labelling.  Everything in this module is exact integer
 combinatorics on immutable values; all functions are pure and safe to call
-concurrently.
+concurrently.  One walk, ``_iter_nc_matchings``, lists the noncrossing
+pairings; NC(n) is its thinning at d = 1 (see ``enumerate_nc``).
 """
 
 from __future__ import annotations
@@ -122,75 +123,47 @@ def window_of(x: int, d: int) -> int:
     return (x - 1) // d
 
 
-def iter_nc_blocks(n: int):
-    """Yield NC(n) as canonical block tuples, in lexicographic order.
+def _cycles(after: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the permutation t -> after[t] of 1..len(after)-1, each
+    read from its least point, in order of those points."""
+    cycles, seen = [], [False] * len(after)
+    for start in range(1, len(after)):
+        cycle, t = [], start
+        while not seen[t]:
+            seen[t] = True
+            cycle.append(t)
+            t = after[t]
+        if cycle:
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
 
-    Blocks are chosen in order of their minima.  Each starts at the least
-    element u not yet placed and takes later elements only below the least
-    placed element above u (going past it would cross the block that holds
-    it); the gaps it leaves are filled by the blocks chosen after it.  A
-    block's elements are chosen in increasing order, closing it is tried
-    before every extension, and smaller extensions before larger ones, so
-    the partitions come out in lexicographic order.  The search walks an
-    explicit path of choices in one loop, with no generator per level.
-    """
-    if n == 0:
-        yield ()
-        return
-    placed = [False] * (n + 2)
-    placed[1] = placed[n + 1] = True  # n + 1 bounds the first block
-    blocks = [[1]]  # the blocks chosen so far; the last one is open
-    limits = [n + 1]  # per block: its elements stay below this
-    closed: list[tuple[int, ...]] = []
-    path: list[int] = []  # per choice: the element added, or 0 for a close
-    nxt = 0  # 0: close the open block next; else: add nxt to it
-    while True:
-        block = blocks[-1]
-        if not nxt:
-            closed.append(tuple(block))
-            u = block[0] + 1
-            while u <= n and placed[u]:
-                u += 1
-            if u <= n:
-                limit = u + 1
-                while not placed[limit]:
-                    limit += 1
-                placed[u] = True
-                blocks.append([u])
-                limits.append(limit)
-                path.append(0)
-                continue
-            yield tuple(closed)
-            closed.pop()
-            nxt = block[-1] + 1
-        if nxt < limits[-1]:
-            placed[nxt] = True
-            block.append(nxt)
-            path.append(nxt)
-            nxt = 0
-            continue
-        # Undo the latest choice and move on to the next one after it.
-        if not path:
-            return
-        x = path.pop()
-        if x:
-            block.pop()
-            placed[x] = False
-            nxt = x + 1
-        else:
-            placed[blocks.pop()[0]] = False
-            limits.pop()
-            closed.pop()
-            nxt = blocks[-1][-1] + 1
+
+def _thin(chords) -> tuple[tuple[int, ...], ...]:
+    """Canonical blocks of the noncrossing partition whose fattening (t to
+    2t-1, 2t) is the noncrossing perfect matching ``chords``: the cycles of
+    t -> ceil(partner(2t) / 2), each increasing from its least point
+    (Nica-Speicher, Lecture 9).  Every chord of a noncrossing perfect
+    matching joins an odd point to an even one, as the points inside it are
+    matched among themselves."""
+    after = [0] * (len(chords) + 1)
+    for a, b in chords:
+        even, odd = (a, b) if a % 2 == 0 else (b, a)
+        after[even // 2] = (odd + 1) // 2
+    return _cycles(after)
 
 
 def enumerate_nc(n: int) -> list[SetPartition]:
-    """All noncrossing partitions of [n] in lexicographic canonical order.
+    """All noncrossing partitions of [n] in lexicographic canonical order:
+    the thinnings of the noncrossing pairings of [2n] (the pairing walk at
+    d = 1), sorted.
 
     >>> len(enumerate_nc(3))
     5
     """
-    return [SetPartition._trusted(n, blocks) for blocks in iter_nc_blocks(n)]
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return [SetPartition._trusted(n, blocks)
+            for blocks in sorted(_thin(ch) for ch in _iter_nc_matchings(2 * n, 1))]
 
 
 def _fillable(a: int, b: int, d: int) -> bool:
@@ -327,10 +300,11 @@ def nc_moebius(p: SetPartition, q: SetPartition) -> int:
     [p|B, 1_B] in NC(|B|), and the Kreweras complement K maps [pi, 1] onto
     [0, K(pi)] reversed, itself the product of NC(|V|) over the blocks V of
     K(pi) (Nica-Speicher, Lectures 9-10).  So mu(p, q) is the product of
-    (-1)^(|V|-1) C_(|V|-1) over the blocks V of every K(p|B).  The blocks of
-    K(pi) are the cycles of pi^-1 gamma, where gamma is the cycle
-    (1 2 ... k) and pi cycles through each of its blocks in increasing
-    order.  O(n).
+    (-1)^(|V|-1) C_(|V|-1) over the blocks V of every K(p|B).  Those blocks
+    are the cycles of the one permutation p^-1 gamma of [n], where p and
+    gamma cycle through each block of p and of q in increasing order: as p
+    refines q, p^-1 gamma maps each block B of q onto itself and is there
+    (p|B)^-1 (1 2 ... |B|), whose cycles are the blocks of K(p|B).  O(n).
     """
     if p.n != q.n:
         raise ValueError("mismatched ground sets")
@@ -338,23 +312,17 @@ def nc_moebius(p: SetPartition, q: SetPartition) -> int:
         raise ValueError("both partitions must be noncrossing")
     if not leq(p, q):
         raise ValueError("p must refine q")
-    before: dict[int, int] = {}  # x -> its predecessor under the cycle of p
+    before = [0] * (p.n + 1)  # x -> its predecessor under the cycle of p
     for block in p.blocks:
         for x, y in zip(block, block[1:] + block[:1]):
             before[y] = x
-    out = 1
+    after = [0] * (p.n + 1)  # x -> before[gamma(x)]
     for block in q.blocks:
-        k = len(block)
-        position = {x: i for i, x in enumerate(block)}
-        seen = [False] * k
-        for start in range(k):
-            size, i = 0, start
-            while not seen[i]:
-                seen[i] = True
-                size += 1
-                i = position[before[block[(i + 1) % k]]]
-            if size:
-                out *= (-1) ** (size - 1) * catalan(size - 1)
+        for x, y in zip(block, block[1:] + block[:1]):
+            after[x] = before[y]
+    out = 1
+    for cycle in _cycles(after):
+        out *= (-1) ** (len(cycle) - 1) * catalan(len(cycle) - 1)
     return out
 
 
@@ -377,18 +345,7 @@ def thicken(p: PairPartition, m: int, d: int) -> SetPartition:
         raise ValueError("pairing must be noncrossing")
     if not is_m_partite(p, d):
         raise ValueError("pairing must be m-partite")
-    # A block {t_1 < ... < t_k} is the cycle t -> ceil(partner(2t) / 2).
-    partner = {x: y for a, b in p.blocks for x, y in ((a, b), (b, a))}
-    blocks, seen = [], set()
-    for start in range(1, n // 2 + 1):
-        block, t = [], start
-        while t not in seen:
-            seen.add(t)
-            block.append(t)
-            t = (partner[2 * t] + 1) // 2
-        if block:
-            blocks.append(tuple(block))
-    return SetPartition(n // 2, tuple(blocks))
+    return SetPartition(n // 2, _thin(p.blocks))
 
 
 def unthicken(q: SetPartition, m: int, d: int) -> PairPartition:

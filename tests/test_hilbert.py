@@ -12,7 +12,6 @@ from ncinv.hilbert import (
     dims_by_chebyshev,
     dims_by_enumeration,
     dims_by_quadrature,
-    semicircle_moment,
 )
 from ncinv.partitions import catalan
 
@@ -79,11 +78,6 @@ class TestExactSeries:
                                 if k % 2 == 0))
                 power = power * u
             assert dims_by_chebyshev(d, 40).dims == tuple(want), d
-
-    def test_semicircle_moments(self):
-        for k in range(9):
-            assert semicircle_moment(2 * k) == catalan(k)
-            assert semicircle_moment(2 * k + 1) == 0
 
     def test_methods_agree(self):
         for d in range(5):

@@ -13,7 +13,6 @@ from ncinv.partitions import (
     enumerate_nc,
     is_m_partite,
     is_noncrossing,
-    iter_nc_blocks,
     leq,
     nc_moebius,
     one_partition,
@@ -94,20 +93,19 @@ class TestEnumeration:
             assert ours == brute
 
     def test_lexicographic_order(self):
-        for n in range(7):
+        for n in range(11):
             parts = [p.blocks for p in enumerate_nc(n)]
-            assert parts == sorted(parts)
+            assert len(parts) == catalan(n)
+            assert all(a < b for a, b in zip(parts, parts[1:]))
+            assert all(is_noncrossing(SetPartition(n, blocks)) for blocks in parts)
 
     def test_n_zero(self):
         assert enumerate_nc(0) == [SetPartition(0, ())]
-        assert list(iter_nc_blocks(0)) == [()]
 
-    def test_raw_walk_sorted_and_complete(self):
-        for n in range(1, 11):
-            walk = list(iter_nc_blocks(n))
-            assert len(walk) == catalan(n)
-            assert all(a < b for a, b in zip(walk, walk[1:]))
-            assert all(is_noncrossing(SetPartition(n, blocks)) for blocks in walk)
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_n_rejected(self, n):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_nc(n)
 
     def test_elements_equal_validated_partitions(self):
         # enumerate_nc skips re-validation; its elements must still be the
