@@ -7,6 +7,7 @@ from ncinv.partitions import (
     SetPartition,
     _fillable,
     _iter_nc_matchings,
+    _thin,
     catalan,
     count_m_partite_nc_pairings,
     enumerate_m_partite_nc_pairings,
@@ -93,14 +94,24 @@ class TestEnumeration:
             assert ours == brute
 
     def test_lexicographic_order(self):
-        for n in range(11):
+        for n in range(7):
             parts = [p.blocks for p in enumerate_nc(n)]
-            assert len(parts) == catalan(n)
-            assert all(a < b for a, b in zip(parts, parts[1:]))
-            assert all(is_noncrossing(SetPartition(n, blocks)) for blocks in parts)
+            assert parts == sorted(parts)
 
     def test_n_zero(self):
         assert enumerate_nc(0) == [SetPartition(0, ())]
+        assert [_thin(ch) for ch in _iter_nc_matchings(0, 1)] == [()]
+
+    def test_raw_walk_sorted_and_complete(self):
+        # The raw walk is the thinned pairing walk at d = 1; enumerate_nc
+        # sorts it.
+        for n in range(1, 11):
+            walk = [_thin(ch) for ch in _iter_nc_matchings(2 * n, 1)]
+            assert len(walk) == len(set(walk)) == catalan(n)
+            assert all(is_noncrossing(SetPartition(n, blocks)) for blocks in walk)
+            parts = [p.blocks for p in enumerate_nc(n)]
+            assert all(a < b for a, b in zip(parts, parts[1:]))
+            assert parts == sorted(walk)
 
     @pytest.mark.parametrize("n", [-1, -3])
     def test_negative_n_rejected(self, n):
