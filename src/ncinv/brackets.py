@@ -6,13 +6,13 @@ y_i, so its symbol is ``partitions.window_of(slot, d)``).  Chords are stored
 with each pair increasing and sorted, and the antisymmetry sign folded into
 a single +-1 on the monomial, so the rewriting loop never touches
 orientation.  Expressions keep exact Fraction coefficients on the same
-canonical chord tuples.  Crossings are found by
-``partitions.crossing_quads``.
+canonical chord tuples.  Crossings are found and counted by
+``partitions.crossing_quads`` alone.
 
 Rewriting replaces a crossing chord pair by the disjoint plus the nested
-resolution; the total crossing count drops in every branch, which is checked
-at each step (also under ``python -O``) and makes termination a
-runtime-checked invariant.
+resolution, by induction on crossing number: the terms of highest count are
+resolved first, each pairing once, and each resolution is recounted; a count
+that does not drop raises, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -34,12 +34,9 @@ def _canonical(chords) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted(pair)) for pair in chords))
 
 
-def _crossings_involving(pair, rest) -> int:
-    """Crossing chord pairs with a chord of ``pair``: the two chords of pair
-    against each other and each of them against every chord of ``rest``."""
-    first, second = pair
-    return sum(1 for (a, b), others in ((first, (second,) + rest), (second, rest))
-               for c, e in others if a < c < b < e or c < a < e < b)
+def _count(chords) -> int:
+    """Number of crossing chord pairs of canonical ``chords``."""
+    return sum(1 for _ in crossing_quads(chords))
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ class BracketMonomial:
                 )
 
     def crossing_count(self) -> int:
-        return sum(1 for _ in crossing_quads(self.chords))
+        return _count(self.chords)
 
     def is_noncrossing(self) -> bool:
         return next(crossing_quads(self.chords), None) is None
@@ -169,28 +166,24 @@ class BracketExpression:
         return cls(m, d, terms)
 
 
-def _resolve_crossing(m: int, d: int, chords, quad) -> list[tuple]:
+def _resolve_crossing(m: int, d: int, chords, quad) -> list[tuple[tuple, int]]:
     """Both crossing resolutions of quad = (i, i', j, j'); a resolution whose
     new chord falls inside one symbol is a vanishing bracket and is dropped.
-    Returns the surviving canonical chord tuples (coefficient +1 each)."""
+    Returns (resolved, left), left being the crossing count, for each
+    surviving chord tuple (coefficient +1); raises unless left < _count(chords)."""
     i, ii, j, jj = quad
-    old_pair = ((i, j), (ii, jj))
-    rest = tuple(ch for ch in chords if ch not in old_pair)
-    # Only crossings that involve a replaced chord change, so the strict
-    # decrease is decided by the two pairs against the rest and themselves.
-    removed = _crossings_involving(old_pair, rest)
+    rest = tuple(ch for ch in chords if ch not in ((i, j), (ii, jj)))
+    before = _count(chords)
     out = []
     for new_pair in (((i, ii), (j, jj)), ((i, jj), (ii, j))):
         if any(window_of(p, d) == window_of(q, d) for p, q in new_pair):
             continue
-        added = _crossings_involving(new_pair, rest)
-        if added >= removed:
-            before = sum(1 for _ in crossing_quads(chords))
-            raise RuntimeError(
-                f"rewriting would not terminate: resolving {quad} left "
-                f"{before - removed + added} crossings, not fewer than {before}"
-            )
-        out.append(tuple(sorted(rest + new_pair)))
+        resolved = tuple(sorted(rest + new_pair))
+        left = _count(resolved)
+        if left >= before:
+            raise RuntimeError(f"rewriting would not terminate: resolving {quad} left "
+                               f"{left} crossings, not fewer than {before}")
+        out.append((resolved, left))
     return out
 
 
@@ -204,10 +197,8 @@ def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
     quad = next(crossing_quads(b.chords), None)
     if quad is None:
         return None
-    terms: dict[tuple, Fraction] = {}
-    for resolved in _resolve_crossing(b.m, b.d, b.chords, quad):
-        terms[resolved] = terms.get(resolved, Fraction(0)) + Fraction(b.sign)
-    return BracketExpression(b.m, b.d, terms)
+    resolutions = _resolve_crossing(b.m, b.d, b.chords, quad)
+    return BracketExpression(b.m, b.d, {resolved: b.sign for resolved, _ in resolutions})
 
 
 def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> BracketExpression:
@@ -215,25 +206,24 @@ def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> 
 
     strategy "lex" resolves the smallest crossing each time; "random" picks a
     uniformly random one from ``rng`` (used to check that the normal form does
-    not depend on the choice).  Total crossing count strictly decreases at
-    every step in every branch, so the loop terminates.
+    not depend on the choice).  ``levels[k]`` holds the terms with k
+    crossings.  The top level is popped and each term on it resolved once, on
+    its merged coefficient; the recount puts every resolution on a strictly
+    lower level.  What is left, ``levels[0]``, is the normal form.
     """
-    if strategy == "random" and rng is None:
-        raise ValueError("random strategy needs an rng")
-    pending = dict(e.terms)
-    out: dict[tuple, Fraction] = {}
-    while pending:
-        chords, coeff = pending.popitem()
-        if not coeff:
-            continue
-        if strategy == "lex":
-            quad = next(crossing_quads(chords), None)
-        else:
-            quads = list(crossing_quads(chords))
-            quad = rng.choice(quads) if quads else None
-        if quad is None:
-            out[chords] = out.get(chords, Fraction(0)) + coeff
-            continue
-        for resolved in _resolve_crossing(e.m, e.d, chords, quad):
-            pending[resolved] = pending.get(resolved, Fraction(0)) + coeff
-    return BracketExpression(e.m, e.d, out)
+    if strategy not in ("lex", "random") or strategy == "random" and rng is None:
+        raise ValueError("strategy must be 'lex', or 'random' with an rng; "
+                         f"got {reprlib.repr(strategy)}")
+    levels = [{} for _ in range(1 + max(map(_count, e.terms), default=0))]
+    for chords, coeff in e.terms.items():
+        levels[_count(chords)][chords] = coeff
+    while len(levels) > 1:
+        for chords, coeff in levels.pop().items():
+            if not coeff:
+                continue
+            quads = crossing_quads(chords)
+            quad = next(quads) if strategy == "lex" else rng.choice(list(quads))
+            for resolved, left in _resolve_crossing(e.m, e.d, chords, quad):
+                level = levels[left]
+                level[resolved] = level.get(resolved, 0) + coeff
+    return BracketExpression(e.m, e.d, levels[0])

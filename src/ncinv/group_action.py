@@ -131,8 +131,8 @@ def act(g: GroupElement, poly: NcPolynomial) -> NcPolynomial:
     """The polynomial representing (p_1,...,p_m) -> P(g^{-1}p_1,...,g^{-1}p_m).
 
     Each letter a_k becomes sum_j M_d(g^{-1})[k][j] a_j; the substitution is
-    applied one word position at a time with coefficient merging, which keeps
-    the intermediate term count bounded by the final support.
+    applied one word position at a time, merging coefficients and dropping
+    the words that cancel before the next position expands them.
     """
     if poly.m == 0:
         return poly
@@ -151,7 +151,7 @@ def act(g: GroupElement, poly: NcPolynomial) -> NcPolynomial:
                 new_word = word[:pos] + (j,) + word[pos + 1:]
                 acc = nxt.get(new_word)
                 nxt[new_word] = coeff * weight if acc is None else acc + coeff * weight
-        terms = nxt
+        terms = {word: c for word, c in nxt.items() if c}
     return NcPolynomial(poly.d, poly.m, terms)
 
 

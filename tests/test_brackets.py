@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncinv
+from ncinv import brackets
 from ncinv.brackets import (
     BracketExpression,
     BracketMonomial,
@@ -173,6 +174,27 @@ class TestToNoncrossing:
         with pytest.raises(ValueError):
             to_noncrossing(e, strategy="random")
 
+    @pytest.mark.parametrize("rng", [None, random.Random(0)])
+    def test_unknown_strategy_rejected(self, rng):
+        e = BracketExpression.from_monomial(BracketMonomial(4, 1, ((1, 3), (2, 4)), 1))
+        with pytest.raises(ValueError, match="strategy must be 'lex'.*'bogus'"):
+            to_noncrossing(e, strategy="bogus", rng=rng)
+
+    def test_each_pairing_resolved_once(self, monkeypatch):
+        # The shift pairing {i, i + 10} at m=10, d=2: last-in-first-out
+        # rewriting resolved 24,116 times, reaching pairings more than once.
+        resolved = []
+
+        def recording(m, d, chords, quad):
+            resolved.append(chords)
+            return _resolve_crossing(m, d, chords, quad)
+
+        monkeypatch.setattr(brackets, "_resolve_crossing", recording)
+        shift = BracketMonomial(10, 2, tuple((i, i + 10) for i in range(1, 11)), 1)
+        out = to_noncrossing(BracketExpression.from_monomial(shift))
+        assert out.is_noncrossing()
+        assert len(resolved) == len(set(resolved)) == 8095
+
     def test_noncanonical_keys_are_canonicalised(self):
         twisted = BracketExpression(4, 1, {((2, 4), (1, 3)): 1})
         canonical = BracketExpression(4, 1, {((1, 3), (2, 4)): 1})
@@ -271,22 +293,22 @@ class TestExpressionJson:
 class TestTerminationCheck:
     @pytest.mark.parametrize("m, d", [(4, 2), (3, 3), (8, 1), (2, 4)])
     def test_every_resolution_lowers_the_recounted_crossings(self, m, d):
-        # The check counts only the change a resolution makes; recount each
-        # result in full, for every crossing (not only the first).
+        # The returned count is the level a resolution goes to; check it
+        # against the brute count, for every crossing (not only the first).
         for mono in all_monomials(m, d):
             before = brute_crossing_quadruples(mono.chords)
             for quad in crossing_quads(mono.chords):
-                for resolved in _resolve_crossing(m, d, mono.chords, quad):
-                    assert brute_crossing_quadruples(resolved) < before
+                for resolved, left in _resolve_crossing(m, d, mono.chords, quad):
+                    assert left == brute_crossing_quadruples(resolved) < before
 
     def test_active_under_optimize(self):
-        # Make every count of changed crossings read 0 so no resolution can
+        # Make every crossing count read the same, so no resolution can
         # lower it; the check must still fire with asserts stripped by -O.
         script = (
             "import sys\n"
             "assert False, 'asserts are on'\n"
             "from ncinv import brackets\n"
-            "brackets._crossings_involving = lambda pair, rest: 0\n"
+            "brackets._count = lambda chords: 7\n"
             "try:\n"
             "    brackets._resolve_crossing(4, 1, ((1, 3), (2, 4)), (1, 2, 3, 4))\n"
             "except RuntimeError as exc:\n"
