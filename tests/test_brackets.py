@@ -181,8 +181,8 @@ class TestToNoncrossing:
             to_noncrossing(e, strategy="bogus", rng=rng)
 
     def test_each_pairing_resolved_once(self, monkeypatch):
-        # The shift pairing {i, i + 10} at m=10, d=2: last-in-first-out
-        # rewriting resolved 24,116 times, reaching pairings more than once.
+        # The shift pairing {i, i + 10} at m=10, d=2 reaches most of its
+        # intermediate pairings along more than one path.
         resolved = []
 
         def recording(m, d, chords, quad):
