@@ -18,10 +18,10 @@ that does not drop raises, also under ``python -O``.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rational import json_field, json_int, json_list, json_rational
+from ._value import Value
 from .partitions import crossing_quads, window_of
 
 
@@ -39,31 +39,28 @@ def _count(chords) -> int:
     return sum(1 for _ in crossing_quads(chords))
 
 
-@dataclass(frozen=True)
-class BracketMonomial:
+class BracketMonomial(Value):
     """A signed product of brackets: chords on [md], each symbol in d slots."""
 
-    m: int
-    d: int
-    chords: tuple[tuple[int, int], ...]
-    sign: int = 1
+    _fields = ("m", "d", "chords", "sign")
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.d < 0:
+    def __init__(self, m: int, d: int, chords: tuple[tuple[int, int], ...],
+                 sign: int = 1) -> None:
+        if m < 0 or d < 0:
             raise ValueError("m and d must be nonnegative")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        chords = _canonical(self.chords)
-        object.__setattr__(self, "chords", chords)
-        n = self.m * self.d
+        chords = _canonical(chords)
+        n = m * d
         support = sorted(x for pair in chords for x in pair)
         if len(support) != n or support != list(range(1, n + 1)):
             raise ValueError(f"chords do not form a perfect matching of 1..{n}")
         for p, q in chords:
-            if window_of(p, self.d) == window_of(q, self.d):
+            if window_of(p, d) == window_of(q, d):
                 raise VanishingBracketError(
                     f"vanishing bracket: slots {p},{q} belong to one symbol"
                 )
+        self._store(m, d, chords, sign)
 
     def crossing_count(self) -> int:
         return _count(self.chords)
@@ -166,14 +163,14 @@ class BracketExpression:
         return cls(m, d, terms)
 
 
-def _resolve_crossing(m: int, d: int, chords, quad) -> list[tuple[tuple, int]]:
-    """Both crossing resolutions of quad = (i, i', j, j'); a resolution whose
-    new chord falls inside one symbol is a vanishing bracket and is dropped.
-    Returns (resolved, left), left being the crossing count, for each
-    surviving chord tuple (coefficient +1); raises unless left < _count(chords)."""
+def _resolve_crossing(m: int, d: int, chords, quad, before: int) -> list[tuple[tuple, int]]:
+    """Both crossing resolutions of quad = (i, i', j, j') in ``chords``, which
+    have ``before`` crossings; a resolution whose new chord falls inside one
+    symbol is a vanishing bracket and is dropped.  Returns (resolved, left),
+    left being the crossing count, for each surviving chord tuple
+    (coefficient +1); raises unless left < before."""
     i, ii, j, jj = quad
     rest = tuple(ch for ch in chords if ch not in ((i, j), (ii, jj)))
-    before = _count(chords)
     out = []
     for new_pair in (((i, ii), (j, jj)), ((i, jj), (ii, j))):
         if any(window_of(p, d) == window_of(q, d) for p, q in new_pair):
@@ -197,7 +194,7 @@ def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
     quad = next(crossing_quads(b.chords), None)
     if quad is None:
         return None
-    resolutions = _resolve_crossing(b.m, b.d, b.chords, quad)
+    resolutions = _resolve_crossing(b.m, b.d, b.chords, quad, _count(b.chords))
     return BracketExpression(b.m, b.d, {resolved: b.sign for resolved, _ in resolutions})
 
 
@@ -218,12 +215,13 @@ def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> 
     for chords, coeff in e.terms.items():
         levels[_count(chords)][chords] = coeff
     while len(levels) > 1:
+        before = len(levels) - 1
         for chords, coeff in levels.pop().items():
             if not coeff:
                 continue
             quads = crossing_quads(chords)
             quad = next(quads) if strategy == "lex" else rng.choice(list(quads))
-            for resolved, left in _resolve_crossing(e.m, e.d, chords, quad):
+            for resolved, left in _resolve_crossing(e.m, e.d, chords, quad, before):
                 level = levels[left]
                 level[resolved] = level.get(resolved, 0) + coeff
     return BracketExpression(e.m, e.d, levels[0])

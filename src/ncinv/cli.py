@@ -3,8 +3,8 @@
 Subcommands: dim, basis, hilbert, rewrite, verify, moments.  Exit codes:
 0 success, 1 verification failure, 2 usage or data error.  Rational values
 print as "p/q" strings; only quadrature columns print decimals, at the
-precision set by --precision.  Each handler imports the layers it runs, so
-a command loads no others.
+precision set by --precision.  Each handler imports the layers it runs, and
+json only where it reads or writes JSON, so a command loads no others.
 """
 
 from __future__ import annotations
@@ -117,13 +117,13 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    import json
-
     from .symbolic import iter_noncrossing_basis
 
     # One element at a time: each is written before the next is built.
     basis = iter_noncrossing_basis(args.m, args.d)
     if args.format == "json":
+        import json
+
         # Element by element, as json.dumps of the whole list would print it.
         out = sys.stdout
         out.write("[")
@@ -139,11 +139,11 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    import json
-
     from . import hilbert
 
     fmt = args.format or ("csv" if args.method == "all" else "text")
+    if fmt == "json":
+        import json
 
     if args.method == "all":
         report = hilbert.compare_methods(args.d, args.max_m, nodes=args.nodes)

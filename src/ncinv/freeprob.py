@@ -12,23 +12,22 @@ points can follow in a block.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rational import as_rational
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Value):
     """Moments m_0, m_1, ..., with m_0 = 1."""
 
-    values: tuple[Fraction, ...]
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        values = tuple(Fraction(v) for v in self.values)
+    def __init__(self, values: tuple[Fraction, ...]) -> None:
+        values = tuple(Fraction(v) for v in values)
         if not values or values[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
-        object.__setattr__(self, "values", values)
+        self._store(values)
 
     @property
     def order(self) -> int:
@@ -38,22 +37,19 @@ class MomentSequence:
         return self.values[k]
 
 
-@dataclass(frozen=True)
-class CumulantSequence:
+class CumulantSequence(Value):
     """Free cumulants c_1, c_2, ..., either rule-generated or tabulated.
 
     Rules: "semicircle" (c_2 = 1, rest 0), "free-poisson" (all c_k = 1), or
     "table" with explicit rationals (zero beyond the table).
     """
 
-    kind: str
-    table: tuple[Fraction, ...] = ()
+    _fields = ("kind", "table")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("semicircle", "free-poisson", "table"):
-            raise ValueError(f"unknown cumulant rule {reprlib.repr(self.kind)}")
-        table = tuple(as_rational(v, "cumulant") for v in self.table)
-        object.__setattr__(self, "table", table)
+    def __init__(self, kind: str, table: tuple[Fraction, ...] = ()) -> None:
+        if kind not in ("semicircle", "free-poisson", "table"):
+            raise ValueError(f"unknown cumulant rule {reprlib.repr(kind)}")
+        self._store(kind, tuple(as_rational(v, "cumulant") for v in table))
 
     @classmethod
     def semicircle(cls) -> "CumulantSequence":

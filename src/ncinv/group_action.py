@@ -17,43 +17,28 @@ applied through ``act`` as a cross-check.  All arithmetic is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
 from ._rational import as_rational
+from ._value import Value
 from .symbolic import NcPolynomial
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Value):
     """A 2x2 rational matrix [[a, b], [c, e]] with determinant exactly 1."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    e: Fraction
+    _fields = ("a", "b", "c", "e")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "e"):
-            object.__setattr__(self, name, as_rational(getattr(self, name), f"entry {name}"))
-        if self.a * self.e - self.b * self.c != 1:
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, e: Fraction) -> None:
+        a, b, c, e = (as_rational(value, f"entry {name}")
+                      for name, value in zip(self._fields, (a, b, c, e)))
+        if a * e - b * c != 1:
             raise ValueError("determinant must be exactly 1")
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.e,
-            self.c * other.a + self.e * other.c,
-            self.c * other.b + self.e * other.e,
-        )
+        self._store(a, b, c, e)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.e, -self.b, -self.c, self.a)
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(1, 0, 0, 1)
 
 
 SHEAR_UPPER = GroupElement(1, 1, 0, 1)
@@ -61,39 +46,13 @@ SHEAR_LOWER = GroupElement(1, 0, 1, 1)
 SCALE_TWO = GroupElement(2, 0, 0, Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class SymPowerMatrix:
+class SymPowerMatrix(Value):
     """The (d+1)x(d+1) matrix of g acting on degree-d coefficient vectors."""
 
-    d: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    _fields = ("d", "entries")
 
-    def __matmul__(self, other: "SymPowerMatrix") -> "SymPowerMatrix":
-        if self.d != other.d:
-            raise ValueError("mismatched degrees")
-        size = self.d + 1
-        rows = tuple(
-            tuple(
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(size))
-                for j in range(size)
-            )
-            for i in range(size)
-        )
-        return SymPowerMatrix(self.d, rows)
-
-    def apply(self, vector):
-        size = self.d + 1
-        return tuple(
-            sum(self.entries[i][k] * Fraction(vector[k]) for k in range(size))
-            for i in range(size)
-        )
-
-    def is_identity(self) -> bool:
-        return all(
-            entry == (1 if i == j else 0)
-            for i, row in enumerate(self.entries)
-            for j, entry in enumerate(row)
-        )
+    def __init__(self, d: int, entries: tuple[tuple[Fraction, ...], ...]) -> None:
+        self._store(d, entries)
 
 
 def sym_power(g: GroupElement, d: int) -> SymPowerMatrix:

@@ -22,24 +22,22 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import zip_longest
 from operator import mul
 
-from .partitions import _iter_nc_matchings
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Value):
     """A one-variable polynomial with integer coefficients (ascending)."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = list(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        self._store(tuple(int(c) for c in coeffs))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not self.coeffs or not other.coeffs:
@@ -82,23 +80,25 @@ def chebyshev_poly(n: int) -> IntPolynomial:
     return cur
 
 
-@dataclass(frozen=True)
-class DimensionSeries:
+class DimensionSeries(Value):
     """dims[m] for m = 0..M.
 
     Exact methods carry ints; quadrature carries floats plus a rounding-error
     bound per entry.
     """
 
-    d: int
-    dims: tuple
-    roundoff: tuple[float, ...] | None = None
+    _fields = ("d", "dims", "roundoff")
+
+    def __init__(self, d: int, dims: tuple, roundoff: tuple[float, ...] | None = None) -> None:
+        self._store(d, dims, roundoff)
 
 
 def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
     """dims[m] = number of m-partite noncrossing pairings of [md], counted by
     visiting every pairing (independent of the transfer count that
     ``partitions.count_m_partite_nc_pairings`` uses)."""
+    from .partitions import _iter_nc_matchings
+
     if d < 0 or max_m < 0:
         raise ValueError("d and max_m must be nonnegative")
     dims = tuple(sum(1 for _ in _iter_nc_matchings(m * d, d))
@@ -144,9 +144,8 @@ def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
     (m(d+1) + 3) eps sum |p_i w_i| 2/pi, with eps = 2u as margin; the tests
     check it against the exact values up to d = 12.
 
-    Raises ValueError, before fsum sees an infinity, at the first m whose
-    terms or the sum of their sizes leave the float range; the exact methods
-    have no such limit.
+    Raises ValueError at the first m whose terms or the sum of their sizes
+    leave the float range; the exact methods have no such limit.
     """
     if nodes < 1:
         raise ValueError("need at least 1 panel")
@@ -170,16 +169,17 @@ def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
     powers = [1.0] * len(ratios)
     for m in range(max_m + 1):
         terms = list(map(mul, powers, weights))
-        # Infinite once a power, a term or their sum overflows: checked before
-        # fsum, which would return inf for even m and fail on -inf + inf for odd.
-        size = sum(map(abs, terms))
+        # Infinite once a power, a term or their sum overflows.  The weights and
+        # even powers are nonnegative, so for even m the sum is its own size;
+        # for odd m the sizes are summed apart, as fsum fails on -inf + inf.
+        try:
+            size = math.fsum(terms) if m % 2 == 0 else sum(map(abs, terms))
+        except OverflowError:  # fsum's exact sum left the float range
+            size = math.inf
         if not math.isfinite(size):
             raise ValueError(f"quadrature at d={d} overflows a float at m={m}; "
                              f"use the chebyshev method, which is exact at every size")
-        total = math.fsum(terms)
-        if m % 2 == 0:
-            # The weights and even powers are nonnegative: then sum |terms| = total.
-            size = total
+        total = math.fsum(terms) if m % 2 else size
         del terms  # before the next powers are built, to hold two node lists, not three
         out.append(total * 2.0 / math.pi)
         bounds.append((m * (d + 1) + 3) * _EPS * size * 2.0 / math.pi)
@@ -190,15 +190,17 @@ def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
 QUADRATURE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class MethodComparison:
+class MethodComparison(Value):
     """Row-per-m comparison of the three methods for one degree d; the
     quadrature column must lie within QUADRATURE_TOL of the exact one, or
-    within the row's roundoff bound where that is larger."""
+    within the row's roundoff bound where that is larger.  ``rows`` holds
+    (m, enum, cheb, quad, abs_err); ``roundoff`` the quadrature's roundoff
+    bound per row."""
 
-    d: int
-    rows: tuple[tuple, ...]  # (m, enum, cheb, quad, abs_err)
-    roundoff: tuple[float, ...]  # the quadrature's roundoff bound per row
+    _fields = ("d", "rows", "roundoff")
+
+    def __init__(self, d: int, rows: tuple[tuple, ...], roundoff: tuple[float, ...]) -> None:
+        self._store(d, rows, roundoff)
 
     @property
     def exact_methods_agree(self) -> bool:

@@ -10,9 +10,10 @@ pairings; NC(n) is its thinning at d = 1 (see ``enumerate_nc``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+
+from ._value import Value
 
 
 def catalan(n: int) -> int:
@@ -24,34 +25,32 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class SetPartition:
+class SetPartition(Value):
     """A partition of {1,...,n} into disjoint nonempty blocks.
 
     Blocks are canonicalised on construction (each block sorted, blocks
     ordered by minimum), so equality and hashing are structural.
     """
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    _fields = ("n", "blocks")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        if n < 0:
             raise ValueError("ground set size must be nonnegative")
-        raw = [tuple(sorted(block)) for block in self.blocks]
+        raw = [tuple(sorted(block)) for block in blocks]
         if any(not block for block in raw):
             raise ValueError("blocks must be nonempty")
         raw.sort(key=lambda block: block[0])
-        object.__setattr__(self, "blocks", tuple(raw))
         support = sorted(x for block in raw for x in block)
-        if len(support) != self.n or support != list(range(1, self.n + 1)):
-            raise ValueError(f"blocks do not partition 1..{self.n}: {raw!r}")
+        if len(support) != n or support != list(range(1, n + 1)):
+            raise ValueError(f"blocks do not partition 1..{n}: {raw!r}")
+        self._store(n, tuple(raw))
 
     @classmethod
     def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
         """Wrap canonical blocks the package built itself; nothing is re-checked."""
         part = object.__new__(cls)
-        part.__dict__.update(n=n, blocks=blocks)
+        part._store(n, blocks)
         return part
 
     def __eq__(self, other: object) -> bool:
@@ -71,9 +70,9 @@ class SetPartition:
 class PairPartition(SetPartition):
     """A set partition all of whose blocks are pairs (a perfect matching)."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.n % 2:
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]) -> None:
+        super().__init__(n, blocks)
+        if n % 2:
             raise ValueError("pair partitions need an even ground set")
         if any(len(block) != 2 for block in self.blocks):
             raise ValueError("all blocks of a pair partition must have size 2")

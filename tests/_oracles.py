@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here enumerates or counts from first principles (restricted
-growth strings, quadruple scans, full matching enumeration) and never calls
-into the code paths it is used to check.
+growth strings, quadruple scans, full matching enumeration, matrices as
+tuples of rows) and never calls into the code paths it is used to check.
 """
 
 from __future__ import annotations
@@ -189,3 +189,17 @@ def brute_moebius(n: int) -> dict:
             mu[parts[i], q] = value
     return mu
 
+
+def matmul(x, y):
+    """The product of two matrices given as tuples of rows."""
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*y)) for row in x)
+
+
+def apply(matrix, vector):
+    """The matrix, as a tuple of rows, times a column vector."""
+    return tuple(sum(a * b for a, b in zip(row, vector)) for row in matrix)
+
+
+def identity(size: int):
+    """The size x size identity matrix as a tuple of rows."""
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))

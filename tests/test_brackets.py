@@ -185,9 +185,9 @@ class TestToNoncrossing:
         # intermediate pairings along more than one path.
         resolved = []
 
-        def recording(m, d, chords, quad):
+        def recording(m, d, chords, quad, before):
             resolved.append(chords)
-            return _resolve_crossing(m, d, chords, quad)
+            return _resolve_crossing(m, d, chords, quad, before)
 
         monkeypatch.setattr(brackets, "_resolve_crossing", recording)
         shift = BracketMonomial(10, 2, tuple((i, i + 10) for i in range(1, 11)), 1)
@@ -298,7 +298,7 @@ class TestTerminationCheck:
         for mono in all_monomials(m, d):
             before = brute_crossing_quadruples(mono.chords)
             for quad in crossing_quads(mono.chords):
-                for resolved, left in _resolve_crossing(m, d, mono.chords, quad):
+                for resolved, left in _resolve_crossing(m, d, mono.chords, quad, before):
                     assert left == brute_crossing_quadruples(resolved) < before
 
     def test_active_under_optimize(self):
@@ -310,7 +310,8 @@ class TestTerminationCheck:
             "from ncinv import brackets\n"
             "brackets._count = lambda chords: 7\n"
             "try:\n"
-            "    brackets._resolve_crossing(4, 1, ((1, 3), (2, 4)), (1, 2, 3, 4))\n"
+            "    chords = ((1, 3), (2, 4))\n"
+            "    brackets._resolve_crossing(4, 1, chords, (1, 2, 3, 4), brackets._count(chords))\n"
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
             "print('optimize', sys.flags.optimize)\n"

@@ -146,7 +146,8 @@ class TestHilbert:
         code, out, err = run_cli(capsys, *quad, "--d", "2", "--max-m", "640")
         assert (code, err) == (0, "")
         assert "inf" not in out.lower()
-        for argv, m in ((["--d", "2", "--max-m", "700"], 647),
+        for argv, m in ((["--d", "1", "--max-m", "1100"], 1025),
+                        (["--d", "2", "--max-m", "700"], 647),
                         (["--d", "99", "--max-m", "200"], 155)):
             code, out, err = run_cli(capsys, *quad, *argv)
             assert (code, out) == (2, "")

@@ -26,6 +26,20 @@ from ncinv.group_action import (
 )
 from ncinv.symbolic import NcPolynomial, leading_term, noncrossing_basis
 
+from _oracles import apply, identity, matmul
+
+IDENTITY = GroupElement(1, 0, 0, 1)
+
+
+def rows(g):
+    return ((g.a, g.b), (g.c, g.e))
+
+
+def times(g, h):
+    """The group element g h."""
+    (a, b), (c, e) = matmul(rows(g), rows(h))
+    return GroupElement(a, b, c, e)
+
 
 def md_pairs(limit):
     out = []
@@ -48,8 +62,8 @@ class TestGroupElement:
         rng = random.Random(3)
         for _ in range(20):
             g = random_group_element(rng)
-            assert g @ g.inverse() == GroupElement.identity()
-            assert g.inverse() @ g == GroupElement.identity()
+            assert matmul(rows(g), rows(g.inverse())) == identity(2)
+            assert matmul(rows(g.inverse()), rows(g)) == identity(2)
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="entry a '1/0' has a zero denominator"):
@@ -74,7 +88,7 @@ class TestGroupElement:
 class TestSymPower:
     def test_identity(self):
         for d in range(5):
-            assert sym_power(GroupElement.identity(), d).is_identity()
+            assert sym_power(IDENTITY, d).entries == identity(d + 1)
 
     def test_degree_one_is_dual_action(self):
         # on (xi_0, xi_1) the dual action of g = [[a,b],[c,e]] is
@@ -89,13 +103,15 @@ class TestSymPower:
         rng = random.Random(13)
         for d in range(5):
             g, h = random_group_element(rng), random_group_element(rng)
-            assert sym_power(g, d) @ sym_power(h, d) == sym_power(g @ h, d)
+            product = matmul(sym_power(g, d).entries, sym_power(h, d).entries)
+            assert product == sym_power(times(g, h), d).entries
 
     def test_inverse_matrix(self):
         rng = random.Random(17)
         for d in range(6):
             g = random_group_element(rng)
-            assert (sym_power(g, d) @ sym_power(g.inverse(), d)).is_identity()
+            product = matmul(sym_power(g, d).entries, sym_power(g.inverse(), d).entries)
+            assert product == identity(d + 1)
 
     def test_binary_form_substitution(self):
         # (g.F)(v) = F(g^{-1} v) checked pointwise on random rational data
@@ -109,7 +125,7 @@ class TestSymPower:
         for d in (1, 2, 3, 4):
             g = random_group_element(rng)
             xi = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d + 1)]
-            new_xi = sym_power(g, d).apply(xi)
+            new_xi = apply(sym_power(g, d).entries, xi)
             for _ in range(4):
                 v = (Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
                 ginv_v = (g.e * v[0] - g.b * v[1], -g.c * v[0] + g.a * v[1])
@@ -119,7 +135,7 @@ class TestSymPower:
 class TestAct:
     def test_identity_fixes_everything(self):
         for poly in noncrossing_basis(4, 2):
-            assert act(GroupElement.identity(), poly) == poly
+            assert act(IDENTITY, poly) == poly
 
     def test_shear_fixes_discriminant(self):
         disc = noncrossing_basis(2, 2)[0]
@@ -131,7 +147,7 @@ class TestAct:
         poly = NcPolynomial(2, 2, {(2, 0): 1, (0, 2): Fraction(1, 3)})
         for _ in range(6):
             g, h = random_group_element(rng), random_group_element(rng)
-            assert act(g @ h, poly) == act(g, act(h, poly))
+            assert act(times(g, h), poly) == act(g, act(h, poly))
 
     def test_preserves_shape(self):
         poly = NcPolynomial(3, 2, {(3, 0): 1})

@@ -109,12 +109,21 @@ class TestQuadrature:
             for m in range(9):
                 assert abs(q.dims[m] - exact[m]) < 1e-8
 
-    @pytest.mark.parametrize("d, first", [(2, 647), (99, 155)])
+    @pytest.mark.parametrize("d, first", [(1, 1025), (2, 647), (99, 155)])
     def test_overflow_refused_at_the_first_row_that_leaves_the_float_range(self, d, first):
         q = dims_by_quadrature(d, first - 1, 256)
         assert all(math.isfinite(v) for v in q.dims + q.roundoff)
         with pytest.raises(ValueError, match=f"d={d} overflows a float at m={first};"):
             dims_by_quadrature(d, first, 256)
+
+    def test_overflow_inside_fsum_is_refused_the_same_way(self, monkeypatch):
+        # An even row can overflow in the sum alone, with every term finite.
+        def overflowing(terms):
+            raise OverflowError("intermediate overflow in fsum")
+
+        monkeypatch.setattr(math, "fsum", overflowing)
+        with pytest.raises(ValueError, match="d=2 overflows a float at m=0;"):
+            dims_by_quadrature(2, 3, 4)
 
     def test_rejects_bad_nodes(self):
         with pytest.raises(ValueError):

@@ -48,11 +48,29 @@ def test_import_loads_no_module():
     assert fresh(f"import json, sys; import ncinv; print(json.dumps({LOADED}))") == []
 
 
+def run_main(tmp_path, argv, probe: str):
+    """Run ``main(argv)`` in a fresh interpreter, with a small bracket file in
+    place of EXPRESSION, and return its exit code and the value of ``probe``,
+    taken before the check's own json import."""
+    expression = tmp_path / "expression.json"
+    expression.write_text(json.dumps({
+        "m": 4, "d": 1, "terms": [{"coeff": "1", "chords": [[1, 3], [2, 4]], "sign": 1}],
+    }), encoding="utf-8")
+    argv = [str(expression) if a == "EXPRESSION" else a for a in argv]
+    code = ("import contextlib, io, sys\n"
+            "from ncinv.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            f"probe = {probe}\n"
+            "import json\n"
+            "print(json.dumps([code, probe]))")
+    return fresh(code)
+
+
 @pytest.mark.parametrize("argv, layers", [
     (["dim", "--d", "4", "--m", "6"], ["partitions"]),
     (["moments", "--rule", "semicircle", "--n", "6"], ["_rational", "freeprob"]),
-    (["hilbert", "--d", "2", "--max-m", "4", "--method", "chebyshev"],
-     ["hilbert", "partitions"]),
+    (["hilbert", "--d", "2", "--max-m", "4", "--method", "chebyshev"], ["hilbert"]),
     (["hilbert", "--d", "2", "--max-m", "4"], ["hilbert", "partitions"]),
     (["rewrite", "EXPRESSION"], ["_rational", "brackets", "partitions"]),
     (["basis", "--d", "2", "--m", "4"], ["_rational", "brackets", "partitions", "symbolic"]),
@@ -60,17 +78,33 @@ def test_import_loads_no_module():
      ["_rational", "brackets", "group_action", "partitions", "symbolic"]),
 ], ids=["dim", "moments", "hilbert-chebyshev", "hilbert-all", "rewrite", "basis", "verify"])
 def test_subcommand_loads_its_layers_only(tmp_path, argv, layers):
-    expression = tmp_path / "expression.json"
-    expression.write_text(json.dumps({
-        "m": 4, "d": 1, "terms": [{"coeff": "1", "chords": [[1, 3], [2, 4]], "sign": 1}],
-    }), encoding="utf-8")
-    argv = [str(expression) if a == "EXPRESSION" else a for a in argv]
-    code = ("import contextlib, io, json, sys\n"
-            "from ncinv.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = main({argv!r})\n"
-            f"print(json.dumps([code, {LOADED}]))")
-    assert fresh(code) == [0, sorted(["ncinv.cli"] + [f"ncinv.{x}" for x in layers])]
+    # Every layer keeps its records on the private base in ncinv._value.
+    want = ["ncinv.cli", "ncinv._value"] + [f"ncinv.{x}" for x in layers]
+    assert run_main(tmp_path, argv, LOADED) == [0, sorted(want)]
+
+
+@pytest.mark.parametrize("argv, reads_json", [
+    (["dim", "--d", "4", "--m", "6"], False),
+    (["moments", "--rule", "semicircle", "--n", "6"], False),
+    (["hilbert", "--d", "2", "--max-m", "4", "--method", "chebyshev"], False),
+    (["hilbert", "--d", "2", "--max-m", "4", "--method", "quadrature"], False),
+    (["hilbert", "--d", "2", "--max-m", "4", "--method", "enumeration", "--format", "csv"],
+     False),
+    (["hilbert", "--d", "2", "--max-m", "4"], False),
+    (["hilbert", "--d", "2", "--max-m", "4", "--format", "json"], True),
+    (["hilbert", "--d", "2", "--max-m", "4", "--method", "chebyshev", "--format", "json"],
+     True),
+    (["rewrite", "EXPRESSION"], True),
+    (["basis", "--d", "2", "--m", "4"], False),
+    (["basis", "--d", "2", "--m", "4", "--format", "json"], True),
+    (["verify", "--d", "2", "--m", "4", "--witnesses", "1"], False),
+], ids=["dim", "moments", "hilbert-chebyshev", "hilbert-quadrature", "hilbert-enumeration-csv",
+        "hilbert-all", "hilbert-all-json", "hilbert-chebyshev-json", "rewrite", "basis",
+        "basis-json", "verify"])
+def test_no_subcommand_loads_dataclasses_and_only_json_io_loads_json(tmp_path, argv,
+                                                                    reads_json):
+    probe = "sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules))"
+    assert run_main(tmp_path, argv, probe) == [0, ["json"] if reads_json else []]
 
 
 def test_every_export_resolves_to_its_home_object():
