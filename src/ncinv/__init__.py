@@ -6,16 +6,13 @@ module as an attribute (``ncinv.partitions``), is imported on first use
 (PEP 562).
 """
 
-from importlib import import_module as _import_module
-
 _EXPORTS = {
     "brackets": ("BracketExpression", "BracketMonomial", "VanishingBracketError",
                  "from_pairs", "pluecker_step", "to_noncrossing"),
     "freeprob": ("CumulantSequence", "MomentSequence", "cumulants_from_moments",
                  "moments_from_cumulants", "psi_mixed_moment", "psi_orthogonality"),
-    "group_action": ("GroupElement", "SymPowerMatrix", "act", "default_witnesses",
-                     "is_invariant", "random_group_element", "random_witnesses",
-                     "sym_power"),
+    "group_action": ("GroupElement", "act", "default_witnesses", "is_invariant",
+                     "random_group_element", "random_witnesses", "sym_power"),
     "hilbert": ("DimensionSeries", "IntPolynomial", "MethodComparison", "chebyshev_poly",
                 "compare_methods", "dims_by_chebyshev", "dims_by_enumeration",
                 "dims_by_quadrature"),
@@ -36,12 +33,13 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        return _import_module(f"{__name__}.{name}")  # binds it here as well
-    if name not in _HOME:
+    if name not in _HOME and name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
-    globals()[name] = value  # later lookups do not come here
+    # __import__, unlike importlib.import_module, is timed by python -X importtime.
+    module = __import__(f"{__name__}.{_HOME.get(name, name)}", fromlist=["*"])
+    if name in _EXPORTS:
+        return module  # the import binds it here as well
+    value = globals()[name] = getattr(module, name)  # later lookups do not come here
     return value
 
 

@@ -1,18 +1,25 @@
-"""The base of the package's small immutable records.
+"""The base of every value class in the package.
 
-A record class names its fields in ``_fields``, in constructor order; its
+A value class names its fields in ``_fields``, in constructor order; its
 ``__init__`` checks the arguments and hands the canonical values to
-``_store``.  The base gives value equality and hashing over the fields
-(between objects of the same class), the ``Name(field=value, ...)`` repr, and
-an AttributeError on assignment or deletion.  That is what
-``dataclass(frozen=True)`` generates, without importing ``dataclasses``,
-which costs a command-line process more time than most commands spend
-working.
+``_store``, while ``_trusted`` wraps values the package built itself.  The
+base gives equality and hashing over the fields (between objects of the same
+class), the ``Name(field=value, ...)`` repr, and an AttributeError on
+assignment or deletion: what ``dataclass(frozen=True)`` generates, without
+importing ``dataclasses``, which costs a command-line process more time than
+most commands spend working.
 """
 
 
 class Value:
     _fields = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An object holding ``values`` as its fields; nothing is checked."""
+        obj = object.__new__(cls)
+        obj._store(*values)
+        return obj
 
     def _store(self, *values) -> None:
         self.__dict__.update(zip(self._fields, values, strict=True))

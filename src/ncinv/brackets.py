@@ -81,7 +81,7 @@ def from_pairs(m: int, d: int, pairs) -> BracketMonomial:
     return BracketMonomial(m, d, tuple(pairs), sign)
 
 
-class BracketExpression:
+class BracketExpression(Value):
     """Exact rational combination of canonical bracket monomials.
 
     Keys of ``terms`` are chord tuples, canonicalised on construction like
@@ -90,16 +90,15 @@ class BracketExpression:
     signs live in the coefficients.  Zero coefficients are dropped.
     """
 
-    __slots__ = ("m", "d", "terms")
+    _fields = ("m", "d", "terms")
+    __hash__ = None  # terms is a dict
 
     def __init__(self, m: int, d: int, terms=None):
-        self.m = m
-        self.d = d
         summed: dict[tuple, Fraction] = {}
         for chords, coeff in (terms or {}).items():
             key = _canonical(chords)
             summed[key] = summed.get(key, 0) + Fraction(coeff)
-        self.terms = {chords: c for chords, c in summed.items() if c}
+        self._store(m, d, {chords: c for chords, c in summed.items() if c})
 
     @classmethod
     def from_monomial(cls, b: BracketMonomial) -> "BracketExpression":
@@ -112,11 +111,6 @@ class BracketExpression:
 
     def is_noncrossing(self) -> bool:
         return all(next(crossing_quads(ch), None) is None for ch in self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BracketExpression):
-            return NotImplemented
-        return (self.m, self.d) == (other.m, other.d) and self.terms == other.terms
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hil.add_argument("--max-m", type=_nonneg, required=True)
     p_hil.add_argument("--method", default="all",
                        choices=("enumeration", "chebyshev", "quadrature", "all"))
-    p_hil.add_argument("--nodes", type=_integer, default=256,
-                       help="quadrature panels (default 256)")
+    p_hil.add_argument("--nodes", type=_integer, default=None,
+                       help="quadrature panels (default: 256, or more to be exact)")
     p_hil.add_argument("--format", choices=("text", "csv", "json"), default=None,
                        help="default: text for single methods, csv for all")
     p_hil.add_argument("--precision", type=_nonneg, default=12,
@@ -145,8 +145,13 @@ def _cmd_hilbert(args) -> int:
     if fmt == "json":
         import json
 
+    least = hilbert.exact_panels(args.d, args.max_m)
+    nodes = max(256, least) if args.nodes is None else args.nodes
+    if nodes < least and args.method in ("quadrature", "all"):
+        raise ValueError(f"--nodes {nodes} is below {least}, the fewest panels that make "
+                         f"the quadrature exact at d={args.d}, max-m {args.max_m}")
     if args.method == "all":
-        report = hilbert.compare_methods(args.d, args.max_m, nodes=args.nodes)
+        report = hilbert.compare_methods(args.d, args.max_m, nodes=nodes)
         if fmt == "json":
             print(json.dumps({
                 "d": report.d,
@@ -167,7 +172,7 @@ def _cmd_hilbert(args) -> int:
     elif args.method == "chebyshev":
         dims = list(hilbert.dims_by_chebyshev(args.d, args.max_m).dims)
     else:
-        dims = list(hilbert.dims_by_quadrature(args.d, args.max_m, args.nodes).dims)
+        dims = list(hilbert.dims_by_quadrature(args.d, args.max_m, nodes).dims)
 
     def fmt_value(v):
         return f"{v:.{args.precision}g}" if isinstance(v, float) else str(v)

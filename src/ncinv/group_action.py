@@ -46,17 +46,8 @@ SHEAR_LOWER = GroupElement(1, 0, 1, 1)
 SCALE_TWO = GroupElement(2, 0, 0, Fraction(1, 2))
 
 
-class SymPowerMatrix(Value):
-    """The (d+1)x(d+1) matrix of g acting on degree-d coefficient vectors."""
-
-    _fields = ("d", "entries")
-
-    def __init__(self, d: int, entries: tuple[tuple[Fraction, ...], ...]) -> None:
-        self._store(d, entries)
-
-
-def sym_power(g: GroupElement, d: int) -> SymPowerMatrix:
-    """M_d(g): the action of g on binomially weighted coefficient vectors.
+def sym_power(g: GroupElement, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of M_d(g), the action of g on binomially weighted coefficients.
 
     Substituting the dual action of g^{-1} = [[e,-b],[-c,a]] into X, Y gives
     X -> eX - bY, Y -> -cX + aY; expanding (eX-bY)^k(-cX+aY)^(d-k) and reading
@@ -83,7 +74,7 @@ def sym_power(g: GroupElement, d: int) -> SymPowerMatrix:
                 )
             row.append(Fraction(comb(d, k), comb(d, j)) * total)
         rows.append(tuple(row))
-    return SymPowerMatrix(d, tuple(rows))
+    return tuple(rows)
 
 
 def act(g: GroupElement, poly: NcPolynomial) -> NcPolynomial:
@@ -95,7 +86,7 @@ def act(g: GroupElement, poly: NcPolynomial) -> NcPolynomial:
     """
     if poly.m == 0:
         return poly
-    rows = sym_power(g.inverse(), poly.d).entries
+    rows = sym_power(g.inverse(), poly.d)
     size = poly.d + 1
     terms = dict(poly.terms)
     for pos in range(poly.m):

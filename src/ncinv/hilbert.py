@@ -13,9 +13,9 @@ routes are
 
 The integrand extends smoothly across the endpoints (the sin^2 factor kills
 the removable singularity of the ratio, whose limit there is d+1), and it is
-in fact a trigonometric polynomial of degree md+2.  Quadrature error under
-node doubling therefore collapses very quickly; the Gauss panels keep the
-endpoints out of the node set entirely.
+in fact a cosine polynomial of degree md+2, which the rule integrates
+exactly, up to rounding, from ``exact_panels(d, m)`` panels on; the Gauss
+panels keep the endpoints out of the node set entirely.
 """
 
 from __future__ import annotations
@@ -126,6 +126,17 @@ def dims_by_chebyshev(d: int, max_m: int) -> DimensionSeries:
 
 _GAUSS3_OFFSET = math.sqrt(3.0 / 5.0)
 _EPS = sys.float_info.epsilon
+
+
+def exact_panels(d: int, max_m: int) -> int:
+    """The fewest panels P at which ``dims_by_quadrature`` is exact up to
+    rounding on every row m <= max_m.  The integrand is a cosine polynomial
+    of degree md + 2.  The panel centres c_j = (j + 1/2) pi/P satisfy
+    sum_j cos(k c_j) = 0 for 0 < k < 2P, and the two off-centre Gauss nodes
+    of a panel have equal weights, so their sine terms cancel: the rule
+    integrates cos(kx) exactly for every k < 2P (Trefethen and Weideman,
+    SIAM Review 56, 2014).  So P = floor((max_m d + 2)/2) + 1."""
+    return (max_m * d + 2) // 2 + 1
 
 
 def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:

@@ -46,20 +46,12 @@ class SetPartition(Value):
             raise ValueError(f"blocks do not partition 1..{n}: {raw!r}")
         self._store(n, tuple(raw))
 
-    @classmethod
-    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
-        """Wrap canonical blocks the package built itself; nothing is re-checked."""
-        part = object.__new__(cls)
-        part._store(n, blocks)
-        return part
-
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # a PairPartition is a SetPartition
         if not isinstance(other, SetPartition):
             return NotImplemented
         return self.n == other.n and self.blocks == other.blocks
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
+    __hash__ = Value.__hash__
 
     @cached_property
     def block_index(self) -> dict[int, int]:
@@ -190,12 +182,13 @@ def _iter_nc_matchings(n: int, d: int):
     u's gap.  j is admissible when it is in another window than u and both
     gaps it leaves are fillable, so the walk has no dead ends, and as u is
     the least open point the tuples come out sorted (Knuth, TAOCP 4A,
-    7.2.1.6).  Each gap's partner list is built once.  The walk is one loop
-    over an explicit path and undoes its choices through a trail.
+    7.2.1.6).  Each gap's partner list is built on its first visit and kept,
+    so memory grows with the gaps visited, not with n^2.  The walk is one
+    loop over an explicit path and undoes its choices through a trail.
     """
     if n and not _fillable(1, n, d):
         return
-    lists: list[list] = [[None] * (n + 1) for _ in range(n + 1)]  # [u][end]
+    lists: list[dict] = [{} for _ in range(n + 1)]  # [u][end]
     chords: list[tuple[int, int]] = []
     trail = []  # per chord: its gap's end, the gaps waiting, its list, index
     u, end, waiting, k = 1, n, None, 0  # waiting: (start, end, rest) or None
@@ -213,12 +206,14 @@ def _iter_nc_matchings(n: int, d: int):
                 k += 1
                 if k < len(partners):
                     break
-        partners = lists[u][end]
-        if partners is None:
-            partners = lists[u][end] = [
-                j for j in range(u + 1, end + 1, 2)
-                if window_of(j, d) != window_of(u, d)
-                and _fillable(u + 1, j - 1, d) and _fillable(j + 1, end, d)]
+        else:  # a new gap
+            try:
+                partners = lists[u][end]
+            except KeyError:
+                partners = lists[u][end] = [
+                    j for j in range(u + 1, end + 1, 2)
+                    if window_of(j, d) != window_of(u, d)
+                    and _fillable(u + 1, j - 1, d) and _fillable(j + 1, end, d)]
         j = partners[k]
         chords.append((u, j))
         trail.append((end, waiting, partners, k))

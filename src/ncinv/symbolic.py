@@ -20,21 +20,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from ._value import Value
 from .brackets import BracketExpression, BracketMonomial
 from .partitions import _iter_nc_matchings, window_of
 
 
-class NcPolynomial:
+class NcPolynomial(Value):
     """A homogeneous noncommutative polynomial: words of length m over
     letters 0..d with Fraction coefficients; zero coefficients dropped."""
 
-    __slots__ = ("d", "m", "terms")
+    _fields = ("d", "m", "terms")
+    __hash__ = None  # terms is a dict
 
     def __init__(self, d: int, m: int, terms=None):
         if d < 0 or m < 0:
             raise ValueError("d and m must be nonnegative")
-        self.d = d
-        self.m = m
         clean: dict[tuple[int, ...], Fraction] = {}
         for word, coeff in (terms or {}).items():
             word = tuple(word)
@@ -45,23 +45,10 @@ class NcPolynomial:
             c = Fraction(coeff)
             if c:
                 clean[word] = c
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, d: int, m: int, terms: dict) -> "NcPolynomial":
-        """Wrap terms the package built itself: tuple words of length m over
-        0..d, nonzero Fraction coefficients.  Nothing is re-checked."""
-        poly = object.__new__(cls)
-        poly.d, poly.m, poly.terms = d, m, terms
-        return poly
+        self._store(d, m, clean)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        return (self.d, self.m) == (other.d, other.m) and self.terms == other.terms
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         if (self.d, self.m) != (other.d, other.m):
@@ -159,7 +146,7 @@ def _unpack(d: int, m: int, profiles: dict[int, int], denominator: int) -> NcPol
             word = tuple(raw) if width == 1 else tuple(
                 int.from_bytes(raw[i:i + width], "big") for i in range(0, size, width))
             terms[word] = values[c]
-    return NcPolynomial._trusted(d, m, terms)
+    return NcPolynomial._trusted(d, m, terms)  # valid words, nonzero Fractions
 
 
 def restitution(b) -> NcPolynomial:

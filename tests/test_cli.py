@@ -154,6 +154,27 @@ class TestHilbert:
             assert f"overflows a float at m={m}" in err and "chebyshev" in err
             assert "fsum" not in err
 
+    def test_default_panels_grow_to_the_exact_count(self, capsys):
+        # 256 panels print 515589.367851 at m = 6; the dimension is 515201.
+        code, out, err = run_cli(capsys, "hilbert", "--d", "100", "--max-m", "8",
+                                 "--method", "quadrature", "--precision", "6")
+        assert (code, err) == (0, "")
+        assert out.split(",")[6] == "515201"
+
+    @pytest.mark.parametrize("method", ["quadrature", "all"])
+    def test_explicit_nodes_below_the_exact_count_exit_2(self, capsys, method):
+        argv = ["hilbert", "--d", "1", "--max-m", "8", "--method", method]
+        code, out, err = run_cli(capsys, *argv, "--nodes", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: --nodes 5 is below 6, the fewest panels that make the "
+                       "quadrature exact at d=1, max-m 8\n")
+        assert run_cli(capsys, *argv, "--nodes", "6")[0] == 0
+
+    def test_nodes_are_not_checked_when_no_quadrature_runs(self, capsys):
+        code, out, err = run_cli(capsys, "hilbert", "--d", "1", "--max-m", "8",
+                                 "--method", "chebyshev", "--nodes", "0")
+        assert (code, out, err) == (0, "1,0,1,0,2,0,5,0,14\n", "")
+
     def test_negative_precision_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["hilbert", "--d", "2", "--max-m", "3", "--method", "quadrature",

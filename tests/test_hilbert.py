@@ -12,6 +12,7 @@ from ncinv.hilbert import (
     dims_by_chebyshev,
     dims_by_enumeration,
     dims_by_quadrature,
+    exact_panels,
 )
 from ncinv.partitions import catalan
 
@@ -124,6 +125,22 @@ class TestQuadrature:
         monkeypatch.setattr(math, "fsum", overflowing)
         with pytest.raises(ValueError, match="d=2 overflows a float at m=0;"):
             dims_by_quadrature(2, 3, 4)
+
+    @pytest.mark.parametrize("d, max_m", [(1, 8), (2, 21), (9, 11), (100, 8)])
+    def test_exact_up_to_rounding_from_exact_panels_on(self, d, max_m):
+        panels = exact_panels(d, max_m)
+        assert panels == (max_m * d + 2) // 2 + 1
+        exact = dims_by_chebyshev(d, max_m).dims
+        q = dims_by_quadrature(d, max_m, panels)
+        for m in range(max_m + 1):
+            assert abs(q.dims[m] - exact[m]) <= q.roundoff[m], (m, q.dims[m], exact[m])
+
+    def test_one_panel_fewer_misses_the_top_degree(self):
+        # At (1, 8) the integrand has degree 10: 5 panels alias cos(10x).
+        exact = dims_by_chebyshev(1, 8).dims
+        q = dims_by_quadrature(1, 8, exact_panels(1, 8) - 1)
+        assert all(abs(q.dims[m] - exact[m]) <= q.roundoff[m] for m in range(8))
+        assert abs(q.dims[8] - exact[8]) > 1e6 * q.roundoff[8]
 
     def test_rejects_bad_nodes(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -215,6 +216,19 @@ class TestPairingWalk:
                 assert walk == sorted(set(walk))
                 assert set(walk) == {ch for ch in nc_perfect_matchings(1, n)
                                      if blocks_are_m_partite(ch, d)}, (m, d)
+
+    def test_memory_grows_with_the_gaps_visited_not_with_n_squared(self):
+        # At m = 2 the walk visits about n gaps; an (n+1)^2 table of
+        # partner lists, about 8 MB at n = 1000, is not built up front.
+        d = 500
+        tracemalloc.start()
+        try:
+            first = next(_iter_nc_matchings(2 * d, d))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == tuple((i, 2 * d + 1 - i) for i in range(1, d + 1))
+        assert peak < 2_000_000
 
 
 class TestTransferCount:

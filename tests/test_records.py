@@ -1,15 +1,16 @@
-"""The package's immutable records: value equality and hashing, the
+"""The package's immutable values: value equality and hashing, the
 ``Name(field=value, ...)`` repr, and no assignment or deletion."""
 
 from fractions import Fraction
 
 import pytest
 
-from ncinv.brackets import BracketMonomial
+from ncinv.brackets import BracketExpression, BracketMonomial
 from ncinv.freeprob import CumulantSequence, MomentSequence
-from ncinv.group_action import GroupElement, SymPowerMatrix
+from ncinv.group_action import GroupElement
 from ncinv.hilbert import DimensionSeries, IntPolynomial, MethodComparison
 from ncinv.partitions import PairPartition, SetPartition
+from ncinv.symbolic import NcPolynomial
 
 # (build, an equal record built from other arguments, a record differing in
 # one field, its repr)
@@ -63,11 +64,22 @@ RECORDS = {
         "GroupElement(a=Fraction(2, 1), b=Fraction(0, 1), c=Fraction(0, 1), "
         "e=Fraction(1, 2))",
     ),
-    "SymPowerMatrix": (
-        lambda: SymPowerMatrix(0, ((1,),)),
-        lambda: SymPowerMatrix(d=0, entries=((Fraction(1),),)),
-        lambda: SymPowerMatrix(0, ((2,),)),
-        "SymPowerMatrix(d=0, entries=((1,),))",
+}
+
+# The two sums of terms, held in dicts: equal fields give equal values, but
+# no hash.  (build, an equal value, one differing in one field, its repr)
+SUMS = {
+    "NcPolynomial": (
+        lambda: NcPolynomial(1, 2, {(1, 0): 1, (0, 1): -1}),
+        lambda: NcPolynomial(d=1, m=2, terms={(0, 1): Fraction(-1), (1, 0): "1", (1, 1): 0}),
+        lambda: NcPolynomial(2, 2, {(1, 0): 1, (0, 1): -1}),
+        "NcPolynomial(d=1, m=2, 'a1·a0 - a0·a1')",
+    ),
+    "BracketExpression": (
+        lambda: BracketExpression(4, 1, {((1, 3), (2, 4)): "1/2"}),
+        lambda: BracketExpression(m=4, d=1, terms={((4, 2), (3, 1)): Fraction(1, 2)}),
+        lambda: BracketExpression(4, 1, {((1, 3), (2, 4)): 1}),
+        "BracketExpression(m=4, d=1: 1/2*((1, 3), (2, 4)))",
     ),
 }
 
@@ -86,9 +98,19 @@ def test_repr_names_every_field(name):
     assert repr(build()) == text
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", SUMS)
+def test_sums_compare_by_fields_but_do_not_hash(name):
+    build, twin, other, text = SUMS[name]
+    assert build() == twin() and build() != other()
+    assert build() != repr(build())
+    with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+        hash(build())
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("name", [*RECORDS, *SUMS])
 def test_fields_cannot_be_assigned_or_deleted(name):
-    record = RECORDS[name][0]()
+    record = {**RECORDS, **SUMS}[name][0]()
     before = repr(record)
     for field in (*vars(record), "new_field"):
         with pytest.raises(AttributeError):
