@@ -3,7 +3,11 @@
 degrees, cross-checking the enumerative, Chebyshev-moment, and quadrature
 routes against each other.
 
-Usage: python scripts/hilbert_table.py [--max-d 4] [--max-m 8] [--nodes 256]
+Usage: python scripts/hilbert_table.py [--max-d 4] [--max-m 8] [--nodes P]
+
+--nodes defaults, as in ``ncinv hilbert``, to 256 panels or to the fewest
+that make the quadrature exact where that is more; a smaller --nodes is
+refused.
 """
 
 import argparse
@@ -16,12 +20,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-d", type=int, default=4)
     parser.add_argument("--max-m", type=int, default=8)
-    parser.add_argument("--nodes", type=int, default=256)
+    parser.add_argument("--nodes", type=int, default=None)
     args = parser.parse_args(argv)
 
     all_ok = True
     for d in range(1, args.max_d + 1):
-        report = compare_methods(d, args.max_m, nodes=args.nodes)
+        try:
+            report = compare_methods(d, args.max_m, nodes=args.nodes)
+        except ValueError as exc:  # a refused --nodes, or a float overflow
+            parser.error(str(exc))
         print(f"# d = {d}")
         print(report.to_csv())
         status = "ok" if report.ok else "MISMATCH"

@@ -145,13 +145,8 @@ def _cmd_hilbert(args) -> int:
     if fmt == "json":
         import json
 
-    least = hilbert.exact_panels(args.d, args.max_m)
-    nodes = max(256, least) if args.nodes is None else args.nodes
-    if nodes < least and args.method in ("quadrature", "all"):
-        raise ValueError(f"--nodes {nodes} is below {least}, the fewest panels that make "
-                         f"the quadrature exact at d={args.d}, max-m {args.max_m}")
     if args.method == "all":
-        report = hilbert.compare_methods(args.d, args.max_m, nodes=nodes)
+        report = hilbert.compare_methods(args.d, args.max_m, nodes=args.nodes)
         if fmt == "json":
             print(json.dumps({
                 "d": report.d,
@@ -172,6 +167,7 @@ def _cmd_hilbert(args) -> int:
     elif args.method == "chebyshev":
         dims = list(hilbert.dims_by_chebyshev(args.d, args.max_m).dims)
     else:
+        nodes = hilbert._panels(args.d, args.max_m, args.nodes)
         dims = list(hilbert.dims_by_quadrature(args.d, args.max_m, nodes).dims)
 
     def fmt_value(v):

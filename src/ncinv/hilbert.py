@@ -22,70 +22,30 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import zip_longest
-from operator import mul
+from operator import mul, sub
 
 from ._value import Value
 
 
-class IntPolynomial(Value):
-    """A one-variable polynomial with integer coefficients (ascending)."""
+def chebyshev_poly(n: int) -> tuple[int, ...]:
+    """Coefficients, in ascending order, of the dilated Chebyshev polynomial
+    of the second kind: U_0 = 1, U_1 = x, U_n = x U_{n-1} - U_{n-2}, so
+    U_n(2cos t) = sin((n+1)t)/sin t.
 
-    _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._store(tuple(int(c) for c in coeffs))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:  # powers of U_d have only odd or only even terms
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return IntPolynomial(tuple(out))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return IntPolynomial(tuple(a - b for a, b in pairs))
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-
-_X = IntPolynomial((0, 1))
-_ONE = IntPolynomial((1,))
-
-
-def chebyshev_poly(n: int) -> IntPolynomial:
-    """Dilated Chebyshev polynomial of the second kind:
-    U_0 = 1, U_1 = x, U_n = x U_{n-1} - U_{n-2}, so U_n(2cos t) =
-    sin((n+1)t)/sin t.
-
-    >>> chebyshev_poly(3).coeffs
+    >>> chebyshev_poly(3)
     (0, -2, 0, 1)
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prev, cur = IntPolynomial(()), _ONE  # U_(-1) = 0 starts the recursion
+    prev, cur = (), (1,)  # U_(-1) = 0 starts the recursion
     for _ in range(n):
-        prev, cur = cur, _X * cur - prev
+        prev, cur = cur, tuple(map(sub, (0, *cur), (*prev, 0, 0)))
     return cur
 
 
 class DimensionSeries(Value):
-    """dims[m] for m = 0..M.
-
-    Exact methods carry ints; quadrature carries floats plus a rounding-error
-    bound per entry.
-    """
+    """dims[m] for m = 0..M: ints from the exact methods; floats from the
+    quadrature, with a bound on each entry's rounding error."""
 
     _fields = ("d", "dims", "roundoff")
 
@@ -116,11 +76,16 @@ def dims_by_chebyshev(d: int, max_m: int) -> DimensionSeries:
     even_moments = [1]
     for n in range(max_m * d // 2):
         even_moments.append(even_moments[n] * 2 * (2 * n + 1) // (n + 2))
-    power = _ONE
-    dims = []
+    terms = [(j, c) for j, c in enumerate(u) if c]
+    power, dims = [1], []
     for _m in range(max_m + 1):
-        dims.append(sum(map(mul, power.coeffs[::2], even_moments)))
-        power = power * u
+        dims.append(sum(map(mul, power[::2], even_moments)))
+        product = [0] * (len(power) + d)
+        for i, a in enumerate(power):
+            if a:  # powers of U_d have only odd or only even terms
+                for j, c in terms:
+                    product[i + j] += a * c
+        power = product
     return DimensionSeries(d, tuple(dims))
 
 
@@ -137,6 +102,18 @@ def exact_panels(d: int, max_m: int) -> int:
     integrates cos(kx) exactly for every k < 2P (Trefethen and Weideman,
     SIAM Review 56, 2014).  So P = floor((max_m d + 2)/2) + 1."""
     return (max_m * d + 2) // 2 + 1
+
+
+def _panels(d: int, max_m: int, nodes: int | None) -> int:
+    """The panels a comparison or the CLI runs at: `nodes`, refused below
+    ``exact_panels(d, max_m)``, or by default 256 or that count if more."""
+    least = exact_panels(d, max_m)
+    if nodes is None:
+        return max(256, least)
+    if nodes < least:
+        raise ValueError(f"--nodes {nodes} is below {least}, the fewest panels that make "
+                         f"the quadrature exact at d={d}, max-m {max_m}")
+    return nodes
 
 
 def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
@@ -233,11 +210,12 @@ class MethodComparison(Value):
         return "\n".join(lines)
 
 
-def compare_methods(d: int, max_m: int, *, nodes: int = 256) -> MethodComparison:
-    """Run all three methods and tabulate (m, enum, cheb, quad, |quad-exact|).
-    The quadrature runs first, so that a request it refuses fails before the
-    exponential enumeration starts."""
-    quad = dims_by_quadrature(d, max_m, nodes)
+def compare_methods(d: int, max_m: int, *, nodes: int | None = None) -> MethodComparison:
+    """Run all three methods and tabulate (m, enum, cheb, quad, |quad-exact|),
+    the quadrature at ``_panels(d, max_m, nodes)`` panels.  The quadrature
+    runs first, so that a request it refuses fails before the exponential
+    enumeration starts."""
+    quad = dims_by_quadrature(d, max_m, _panels(d, max_m, nodes))
     enum = dims_by_enumeration(d, max_m)
     cheb = dims_by_chebyshev(d, max_m)
     rows = tuple(

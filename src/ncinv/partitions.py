@@ -157,20 +157,29 @@ def enumerate_nc(n: int) -> list[SetPartition]:
             for blocks in sorted(_thin(ch) for ch in _iter_nc_matchings(2 * n, 1))]
 
 
-def _fillable(a: int, b: int, d: int) -> bool:
-    """True iff positions a..b have a noncrossing perfect matching with no
-    chord inside a window: iff their count L is even and no window holds
-    more than L/2 of them.  Necessity: every point needs a partner outside
+def _partners(u: int, end: int, d: int) -> list[int]:
+    """The partners j of u in another window that leave u+1..j-1 and j+1..end
+    fillable, in increasing order; the gap u..end must itself be fillable.
+
+    A run of points is fillable -- has a noncrossing perfect matching with
+    no chord inside a window -- iff its count L is even and no window holds
+    more than L/2 of it.  Necessity: every point needs a partner outside
     its window.  Sufficiency, by induction on L: the windows cut the points
     into runs; match the two adjacent points across an edge of a largest
     run R.  That chord crosses nothing, and the rule holds on the L - 2
     points left: R and its neighbour each lose one, and any other run T has
     2|T| <= |T| + |R| <= L - 1.
+
+    So an even run of 2d points or more is fillable, and a shorter nonempty
+    one iff it straddles one window edge evenly.  With j - u odd both runs
+    are even.  u+1..j-1 is fillable iff j > u + 2d or j is ``low``, the
+    mirror of u across its window's right edge; j+1..end iff j <= end - 2d,
+    j = end, or j is ``high``, below end by twice end's place in its window.
     """
-    size, wa, wb = b - a + 1, window_of(a, d), window_of(b, d)
-    # The fullest window is a whole one between a's and b's, or one of theirs.
-    most = d if wb - wa > 1 else max(min(b, wa * d + d) - a + 1, b - max(a - 1, wb * d))
-    return size % 2 == 0 and 2 * most <= size
+    low, high = 2 * (window_of(u, d) + 1) * d + 1 - u, 2 * window_of(end, d) * d - end
+    edges = {j for j in (low, high, end) if u < j <= end and (j == low or j > u + 2 * d)
+             and (j in (high, end) or j <= end - 2 * d)}
+    return sorted(edges.union(range(u + 2 * d + 1, end - 2 * d + 1, 2)))
 
 
 def _iter_nc_matchings(n: int, d: int):
@@ -186,7 +195,7 @@ def _iter_nc_matchings(n: int, d: int):
     so memory grows with the gaps visited, not with n^2.  The walk is one
     loop over an explicit path and undoes its choices through a trail.
     """
-    if n and not _fillable(1, n, d):
+    if n % 2 or 0 < n < 2 * d:  # 1..n is fillable, by the rule in ``_partners``
         return
     lists: list[dict] = [{} for _ in range(n + 1)]  # [u][end]
     chords: list[tuple[int, int]] = []
@@ -210,10 +219,7 @@ def _iter_nc_matchings(n: int, d: int):
             try:
                 partners = lists[u][end]
             except KeyError:
-                partners = lists[u][end] = [
-                    j for j in range(u + 1, end + 1, 2)
-                    if window_of(j, d) != window_of(u, d)
-                    and _fillable(u + 1, j - 1, d) and _fillable(j + 1, end, d)]
+                partners = lists[u][end] = _partners(u, end, d)
         j = partners[k]
         chords.append((u, j))
         trail.append((end, waiting, partners, k))

@@ -1,11 +1,11 @@
 import math
+from itertools import zip_longest
 
 import pytest
 
 from ncinv import hilbert
 from ncinv.hilbert import (
     QUADRATURE_TOL,
-    IntPolynomial,
     MethodComparison,
     chebyshev_poly,
     compare_methods,
@@ -17,40 +17,43 @@ from ncinv.hilbert import (
 from ncinv.partitions import catalan
 
 
-class TestIntPolynomial:
-    def test_normalisation(self):
-        assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
-        assert IntPolynomial(()).coeffs == ()
+def horner(coeffs, x):
+    """The polynomial with ascending coefficients `coeffs`, evaluated at x."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
-    def test_mul(self):
-        p = IntPolynomial((1, 1))
-        assert (p * p).coeffs == (1, 2, 1)
 
-    def test_eval(self):
-        p = IntPolynomial((-1, 0, 1))
-        assert p(3) == 8
+def times(p, q):
+    """The product of two ascending coefficient tuples."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
 
 
 class TestChebyshev:
     def test_base_cases(self):
-        assert chebyshev_poly(0).coeffs == (1,)
-        assert chebyshev_poly(1).coeffs == (0, 1)
-        assert chebyshev_poly(2).coeffs == (-1, 0, 1)
-        assert chebyshev_poly(3).coeffs == (0, -2, 0, 1)
+        assert chebyshev_poly(0) == (1,)
+        assert chebyshev_poly(1) == (0, 1)
+        assert chebyshev_poly(2) == (-1, 0, 1)
+        assert chebyshev_poly(3) == (0, -2, 0, 1)
 
     def test_recursion(self):
-        x = IntPolynomial((0, 1))
         for n in range(2, 11):
-            lhs = chebyshev_poly(n)
-            rhs = x * chebyshev_poly(n - 1) - chebyshev_poly(n - 2)
-            assert lhs.coeffs == rhs.coeffs
+            pairs = zip_longest(times((0, 1), chebyshev_poly(n - 1)), chebyshev_poly(n - 2),
+                                fillvalue=0)
+            assert chebyshev_poly(n) == tuple(a - b for a, b in pairs)
+            assert chebyshev_poly(n)[-1] == 1  # degree n, no trailing zeros
 
     def test_trigonometric_identity(self):
         for n in range(7):
             u = chebyshev_poly(n)
             for theta in (0.3, 1.1, 2.4):
                 want = math.sin((n + 1) * theta) / math.sin(theta)
-                assert abs(u(2 * math.cos(theta)) - want) < 1e-9
+                assert abs(horner(u, 2 * math.cos(theta)) - want) < 1e-9
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -73,11 +76,11 @@ class TestExactSeries:
     def test_chebyshev_matches_expansion_by_catalan(self):
         # The route grows its own Catalan numbers; expand here with catalan().
         for d in range(7):
-            u, power, want = chebyshev_poly(d), IntPolynomial((1,)), []
+            u, power, want = chebyshev_poly(d), (1,), []
             for _m in range(41):
-                want.append(sum(c * catalan(k // 2) for k, c in enumerate(power.coeffs)
+                want.append(sum(c * catalan(k // 2) for k, c in enumerate(power)
                                 if k % 2 == 0))
-                power = power * u
+                power = times(power, u)
             assert dims_by_chebyshev(d, 40).dims == tuple(want), d
 
     def test_methods_agree(self):
@@ -177,6 +180,22 @@ class TestCompareMethods:
             compare_methods(2, 17, nodes=0)
         with pytest.raises(ValueError, match="overflows"):
             compare_methods(2, 700)
+
+    def test_default_panels_are_256_or_the_exact_count(self, monkeypatch):
+        # 256 panels are one fewer than exact_panels(255, 2) = 257.
+        assert compare_methods(255, 2).ok
+        with pytest.raises(ValueError, match="^--nodes 256 is below 257, the fewest panels"):
+            compare_methods(255, 2, nodes=256)
+        seen = []
+
+        def recording(d, max_m, nodes):
+            seen.append(nodes)
+            return dims_by_quadrature(d, max_m, nodes)
+
+        monkeypatch.setattr(hilbert, "dims_by_quadrature", recording)
+        for d, max_m, nodes in ((2, 4, None), (255, 2, None), (2, 4, 9)):
+            compare_methods(d, max_m, nodes=nodes)
+        assert seen == [256, 257, 9]
 
     def test_csv_format(self):
         lines = compare_methods(1, 2, nodes=64).to_csv().splitlines()

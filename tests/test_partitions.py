@@ -6,8 +6,8 @@ import pytest
 from ncinv.partitions import (
     PairPartition,
     SetPartition,
-    _fillable,
     _iter_nc_matchings,
+    _partners,
     _thin,
     catalan,
     count_m_partite_nc_pairings,
@@ -200,13 +200,25 @@ class TestPairingWalk:
             assert set(nc_perfect_matchings(1, n)) == brute
 
     def test_gap_rule_matches_search(self):
-        # Every interval a..b inside 1..16, the empty ones included.
+        # Every gap u..end inside 1..16 that has a matching: u's partners are
+        # the partners it has in those matchings, in increasing order.
+        gaps = 0
+        for d in range(1, 5):
+            for u in range(1, 17):
+                for end in range(u + 1, 17, 2):
+                    brute = sorted({ch[0][1] for ch in nc_perfect_matchings(u, end)
+                                    if blocks_are_m_partite(ch, d)})
+                    if brute:
+                        gaps += 1
+                        assert _partners(u, end, d) == brute, (u, end, d)
+        assert gaps == 199
+
+    def test_walk_at_every_n_not_only_multiples_of_d(self):
+        # The start check is exact: the walk is empty iff no matching exists.
         for d in range(1, 6):
-            for a in range(1, 17):
-                for b in range(a - 1, 17):
-                    brute = any(blocks_are_m_partite(ch, d)
-                                for ch in nc_perfect_matchings(a, b))
-                    assert _fillable(a, b, d) == brute, (a, b, d)
+            for n in range(17):
+                brute = [ch for ch in nc_perfect_matchings(1, n) if blocks_are_m_partite(ch, d)]
+                assert list(_iter_nc_matchings(n, d)) == brute, (n, d)
 
     def test_raw_walk_sorted_and_complete(self):
         for d in range(17):

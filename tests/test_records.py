@@ -8,7 +8,7 @@ import pytest
 from ncinv.brackets import BracketExpression, BracketMonomial
 from ncinv.freeprob import CumulantSequence, MomentSequence
 from ncinv.group_action import GroupElement
-from ncinv.hilbert import DimensionSeries, IntPolynomial, MethodComparison
+from ncinv.hilbert import DimensionSeries, MethodComparison
 from ncinv.partitions import PairPartition, SetPartition
 from ncinv.symbolic import NcPolynomial
 
@@ -20,12 +20,6 @@ RECORDS = {
         lambda: SetPartition(3, [(2,), [1, 3]]),
         lambda: SetPartition(3, ((1, 2), (3,))),
         "SetPartition(n=3, blocks=((1, 3), (2,)))",
-    ),
-    "IntPolynomial": (
-        lambda: IntPolynomial((1, 0, 2, 0)),
-        lambda: IntPolynomial([1, 0, 2]),
-        lambda: IntPolynomial((1, 0, 3)),
-        "IntPolynomial(coeffs=(1, 0, 2))",
     ),
     "DimensionSeries": (
         lambda: DimensionSeries(2, (1, 0, 1)),

@@ -11,11 +11,15 @@ from ncinv.hilbert import dims_by_quadrature
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *argv):
+def run(name, *argv):
     src = str(Path(ncinv.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *argv],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
+
+
+def run_script(name, *argv):
+    done = run(name, *argv)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
@@ -25,6 +29,20 @@ def test_hilbert_table():
     assert lines[:2] == ["# d = 1", "m,enum,cheb,quad,abs_err"]
     verdicts = [line for line in lines if line.startswith("# exact")]
     assert verdicts == ["# exact methods agree: True, quadrature within 1e-08: True -> ok"] * 2
+
+
+def test_hilbert_table_default_panels_follow_the_cli_rule():
+    # d = 255, max_m = 2 needs 257 panels, one more than 256.
+    lines = run_script("hilbert_table.py", "--max-d", "256", "--max-m", "2")
+    verdicts = [line for line in lines if line.startswith("# exact")]
+    assert len(verdicts) == 256 and all(line.endswith("-> ok") for line in verdicts)
+
+
+def test_hilbert_table_refuses_too_few_panels():
+    done = run("hilbert_table.py", "--nodes", "5")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("error: --nodes 5 is below 6, the fewest panels that make "
+                                "the quadrature exact at d=1, max-m 8\n")
 
 
 def test_quadrature_convergence():
