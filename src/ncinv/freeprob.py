@@ -6,7 +6,9 @@ term by term: each is split by the block that holds its first point, whose
 gaps are independent smaller sums.  That gives an O(n^3) recursion for the
 moment-cumulant relation and an O(n^3 m) one for ``psi_mixed_moment``, where
 the interval ("at most one element per group") constraint decides which
-points can follow in a block.
+points can follow in a block.  That interval sum is
+``partitions._interval_sums``, which ``hilbert.dims_by_enumeration`` also
+runs with c_2 = 1 as its only cumulant, to count m-partite pairings.
 """
 
 from __future__ import annotations
@@ -149,44 +151,18 @@ def psi_mixed_moment(k, c: CumulantSequence) -> Fraction:
     the sum over sigma in NC(k_1+...+k_m) whose meet with the interval
     partition of the k_i is discrete, of prod over blocks of c_|B|.
 
-    Summed by the block that holds the first point of a range: its next
-    element lies in a strictly later window, and every gap between its
-    elements is an independent range.  A block takes at most one point per
-    window, so only c_1..c_m enter, and no block grows past the last size
-    with a nonzero cumulant.  O(n^3 m) exact operations for n points.
+    Summed by the interval sum ``partitions._interval_sums``, split by the
+    block that holds the first point of a range.  A block takes at most one
+    point per window, so only c_1..c_m enter.  O(n^3 m) exact operations for
+    n points; the result is a Fraction even when every cumulant is zero.
     """
+    from .partitions import _interval_sums
+
     sizes = tuple(k)
     if any(isinstance(v, bool) or not isinstance(v, int) or v <= 0 for v in sizes):
         raise ValueError(f"group sizes must be positive integers, got {reprlib.repr(sizes)}")
-    if not sizes:
-        return Fraction(1)
-    n = sum(sizes)
     weight = [Fraction(0)] + [c[s] for s in range(1, len(sizes) + 1)]
-    top = max((s for s, w in enumerate(weight) if w), default=0)
-    # x -> (the number of windows up to x's, the first point of the next)
-    place, end = {}, 1
-    for i, size in enumerate(sizes, start=1):
-        end += size
-        place.update((x, (i, end)) for x in range(end - size, end))
-    # ranges[lo][hi]: the sum over the admissible partitions of lo..hi-1
-    ranges = [[Fraction(0)] * (n + 2) for _ in range(n + 2)]
-    for hi in range(1, n + 2):
-        ranges[hi][hi] = Fraction(1)
-        # grow[s][b]: for a block whose s-th and so far last element is b,
-        # the sum over its ways to go on inside b+1..hi-1, gaps included
-        grow = [[Fraction(0)] * (hi + 1) for _ in range(top + 2)]
-        for b in range(hi - 1, 0, -1):
-            windows, later = place[b]
-            gaps = ranges[b + 1]
-            for s in range(min(top, windows), 0, -1):
-                longer = grow[s + 1]
-                total = weight[s] * gaps[hi]
-                for x in range(later, hi):
-                    if longer[x]:
-                        total += gaps[x] * longer[x]
-                grow[s][b] = total
-            ranges[b][hi] = grow[1][b]
-    return ranges[1][n + 1]
+    return Fraction(_interval_sums(sizes, weight)[sum(sizes) + 1])
 
 
 def psi_orthogonality(m: int, n: int, c: CumulantSequence) -> Fraction:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import operator
 
 
 def all_set_partitions(n: int):
@@ -203,3 +205,27 @@ def apply(matrix, vector):
 def identity(size: int):
     """The size x size identity matrix as a tuple of rows."""
     return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+
+
+def unfolded_quadrature(d: int, max_m: int, nodes: int) -> tuple:
+    """The Molien integral (2/pi) Int_0^pi (sin((d+1)x)/sin x)^m sin^2 x dx
+    for m = 0..max_m by the composite three-point Gauss rule on all `nodes`
+    panels of [0, pi], both halves evaluated: the rule as it stood before
+    ``hilbert.dims_by_quadrature`` folded the right half onto the left."""
+    h = math.pi / nodes
+    half = h / 2.0
+    off = half * math.sqrt(3.0 / 5.0)
+    ratios, weights = [], []
+    for i in range(nodes):
+        center = (i + 0.5) * h
+        for x, w in ((center - off, 5.0 / 9.0 * half),
+                     (center, 8.0 / 9.0 * half),
+                     (center + off, 5.0 / 9.0 * half)):
+            s = math.sin(x)
+            ratios.append(math.sin((d + 1) * x) / s)
+            weights.append(s * s * w)
+    out, powers = [], [1.0] * len(ratios)
+    for _m in range(max_m + 1):
+        out.append(math.fsum(map(operator.mul, powers, weights)) * 2.0 / math.pi)
+        powers = list(map(operator.mul, powers, ratios))
+    return tuple(out)

@@ -1,6 +1,6 @@
-"""The benchmark's traced runs of the counting and algebra workloads finish
-and check out: with spans around every layer, each job's output is still
-correct and none fails."""
+"""The benchmark's traced runs of every workload finish and check out: with
+spans around every layer, each job's output is still correct and none
+fails."""
 
 import json
 import os
@@ -13,7 +13,7 @@ import pytest
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["counting", "algebra"])
+@pytest.mark.parametrize("workload", ["counting", "algebra", "free-probability"])
 def test_traced_run_is_correct(workload, tmp_path):
     done = subprocess.run([sys.executable, str(RUN), "--workload", workload,
                            "--seed", "1", "--seconds", "1", "--trace", "1"],

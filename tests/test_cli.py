@@ -190,14 +190,19 @@ class TestHilbert:
         assert out == (
             '{"d": 1, "rows": ['
             '{"m": 0, "enum": 1, "cheb": 1, "quad": 1.0, "abs_err": 0.0}, '
-            '{"m": 1, "enum": 0, "cheb": 0, "quad": 3.953217451829976e-18, '
-            '"abs_err": 3.953217451829976e-18}, '
+            '{"m": 1, "enum": 0, "cheb": 0, "quad": 0.0, "abs_err": 0.0}, '
             '{"m": 2, "enum": 1, "cheb": 1, "quad": 1.0, "abs_err": 0.0}, '
-            '{"m": 3, "enum": 0, "cheb": 0, "quad": 9.666435715650115e-19, '
-            '"abs_err": 9.666435715650115e-19}, '
+            '{"m": 3, "enum": 0, "cheb": 0, "quad": 0.0, "abs_err": 0.0}, '
             '{"m": 4, "enum": 2, "cheb": 2, "quad": 2.0, "abs_err": 0.0}], '
             '"exact_mismatch": false, "quad_above_tol": false}\n'
         )
+
+    def test_all_at_sizes_the_pairing_walk_cannot_reach(self, capsys):
+        # dims[30] = 387,447,933,868,249,591 pairings, too many to walk.
+        code, out, err = run_cli(capsys, "hilbert", "--d", "4", "--max-m", "30",
+                                 "--method", "all")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("30,387447933868249591,387447933868249591,")
 
     def test_json_format(self, capsys, tmp_path):
         code, out, _ = run_cli(

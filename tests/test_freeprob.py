@@ -212,6 +212,16 @@ class TestPsiMoments:
     def test_empty_product(self):
         assert psi_mixed_moment((), SEMI) == 1
 
+    @pytest.mark.parametrize("sizes", [(), (1,), (2, 2), (1, 3, 2)])
+    @pytest.mark.parametrize("c", [SEMI, CumulantSequence.from_table([]),
+                                   CumulantSequence.from_table([0, 0, 0])],
+                             ids=["semicircle", "empty-table", "zero-table"])
+    def test_result_is_a_fraction(self, sizes, c):
+        # The interval sum starts from int zeros; a zero answer is still a Fraction.
+        got = psi_mixed_moment(sizes, c)
+        assert type(got) is Fraction
+        assert got == brute_psi(sizes, c)
+
     @pytest.mark.parametrize("sizes, want", [
         ((4,) * 5, 16),
         ((3,) * 8, count_m_partite_nc_pairings(8, 3)),
