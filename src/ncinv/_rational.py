@@ -40,6 +40,11 @@ def as_rational(value, what: str) -> Fraction:
     return Fraction(value)
 
 
+def exact(value):
+    """An int as it is; any other number, or a numeric string, through Fraction."""
+    return value if type(value) is int else Fraction(value)
+
+
 def json_field(data, key: str):
     """``data[key]``; ValueError unless data is a JSON object holding key."""
     if not isinstance(data, dict):

@@ -5,8 +5,8 @@ pair partition of [md] (slot (i-1)d+k is the k-th occurrence of the symbol
 y_i, so its symbol is ``partitions.window_of(slot, d)``).  Chords are stored
 with each pair increasing and sorted, and the antisymmetry sign folded into
 a single +-1 on the monomial, so the rewriting loop never touches
-orientation.  Expressions keep exact Fraction coefficients on the same
-canonical chord tuples.  Crossings are found and counted by
+orientation.  Expressions keep exact coefficients, ints or Fractions, on
+the same canonical chord tuples.  Crossings are found and counted by
 ``partitions.crossing_quads`` alone.
 
 Rewriting replaces a crossing chord pair by the disjoint plus the nested
@@ -18,9 +18,8 @@ that does not drop raises, also under ``python -O``.
 from __future__ import annotations
 
 import reprlib
-from fractions import Fraction
 
-from ._rational import json_field, json_int, json_list, json_rational
+from ._rational import exact, json_field, json_int, json_list, json_rational
 from ._value import Value
 from .partitions import crossing_quads, window_of
 
@@ -94,15 +93,15 @@ class BracketExpression(Value):
     __hash__ = None  # terms is a dict
 
     def __init__(self, m: int, d: int, terms=None):
-        summed: dict[tuple, Fraction] = {}
+        summed = {}
         for chords, coeff in (terms or {}).items():
             key = _canonical(chords)
-            summed[key] = summed.get(key, 0) + Fraction(coeff)
+            summed[key] = summed.get(key, 0) + exact(coeff)
         self._store(m, d, {chords: c for chords, c in summed.items() if c})
 
     @classmethod
     def from_monomial(cls, b: BracketMonomial) -> "BracketExpression":
-        return cls(b.m, b.d, {b.chords: Fraction(b.sign)})
+        return cls(b.m, b.d, {b.chords: b.sign})
 
     def monomials(self):
         """Iterate (BracketMonomial, coefficient) pairs, deterministically."""
@@ -140,7 +139,7 @@ class BracketExpression(Value):
         if m < 0 or d < 0:
             raise ValueError("m and d must be nonnegative")
         entries = json_list(data, "terms")
-        terms: dict[tuple, Fraction] = {}
+        terms = {}
         for entry in entries:
             chords = json_field(entry, "chords")
             if not isinstance(chords, list) or not all(
@@ -153,7 +152,7 @@ class BracketExpression(Value):
                 raise ValueError(f"sign must be 1 or -1, got {reprlib.repr(sign)}")
             mono = from_pairs(m, d, pairs)
             coeff = json_rational(json_field(entry, "coeff"), "coefficient") * sign * mono.sign
-            terms[mono.chords] = terms.get(mono.chords, Fraction(0)) + coeff
+            terms[mono.chords] = terms.get(mono.chords, 0) + coeff
         return cls(m, d, terms)
 
 

@@ -1,13 +1,13 @@
 """Free cumulants, moment-cumulant inversion over NC(n), and the
 combinatorial moments of free stochastic measures.
 
-Moments and cumulants are exact rationals.  No sum over NC(n) is listed
-term by term: each is split by the block that holds its first point, whose
-gaps are independent smaller sums.  That gives an O(n^3) recursion for the
-moment-cumulant relation and an O(n^3 m) one for ``psi_mixed_moment``, where
-the interval ("at most one element per group") constraint decides which
-points can follow in a block.  That interval sum is
-``partitions._interval_sums``, which ``hilbert.dims_by_enumeration`` also
+The sums stay ints while the cumulants are ints; the records store Fractions.
+No sum over NC(n) is listed term by term: each is split by the block that
+holds its first point, whose gaps are independent smaller sums.  That gives
+an O(n^3) recursion for the moment-cumulant relation and an O(n^3 m) one for
+``psi_mixed_moment``, where the interval ("at most one element per group")
+constraint decides which points can follow in a block.  That interval sum
+is ``partitions._interval_sums``, which ``hilbert.dims_by_enumeration`` also
 runs with c_2 = 1 as its only cumulant, to count m-partite pairings.
 """
 
@@ -83,14 +83,14 @@ class CumulantSequence(Value):
             return cls.from_table(entries)
         raise ValueError(f"unknown cumulant rule {reprlib.repr(text)}")
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int | Fraction:
         if k < 1:
             raise ValueError("cumulants are indexed from 1")
         if self.kind == "semicircle":
-            return Fraction(1) if k == 2 else Fraction(0)
+            return 1 if k == 2 else 0
         if self.kind == "free-poisson":
-            return Fraction(1)
-        return self.table[k - 1] if k <= len(self.table) else Fraction(0)
+            return 1
+        return self.table[k - 1] if k <= len(self.table) else 0
 
 
 def _first_block_sums(moments: list, cumulants: list, n: int):
@@ -104,10 +104,10 @@ def _first_block_sums(moments: list, cumulants: list, n: int):
     for the k-th sum.  powers[s][j] = [z^j] M^s grows one entry per power and
     step, which is O(n^3) exact operations in all.
     """
-    powers: list[list[Fraction]] = [[]]
+    powers: list[list] = [[]]
     for k in range(1, n + 1):
         powers.append([])
-        total = Fraction(0)
+        total = 0
         for s in range(1, k):
             j = k - s
             if s == 1:
@@ -120,14 +120,14 @@ def _first_block_sums(moments: list, cumulants: list, n: int):
             powers[s].append(entry)
             if cumulants[s - 1]:
                 total += cumulants[s - 1] * entry
-        powers[k].append(Fraction(1))
+        powers[k].append(1)
         yield total
 
 
 def moments_from_cumulants(c: CumulantSequence, n: int) -> MomentSequence:
     """m_k = sum over sigma in NC(k) of prod over blocks of c_|B|, k <= n,
     by the first-block recursion m_k = sum_s c_s [z^(k-s)] M(z)^s."""
-    values = [Fraction(1)]
+    values = [1]
     cums = [c[s] for s in range(1, n + 1)]
     for k, rest in enumerate(_first_block_sums(values, cums, n), start=1):
         values.append(rest + cums[k - 1])
@@ -161,7 +161,7 @@ def psi_mixed_moment(k, c: CumulantSequence) -> Fraction:
     sizes = tuple(k)
     if any(isinstance(v, bool) or not isinstance(v, int) or v <= 0 for v in sizes):
         raise ValueError(f"group sizes must be positive integers, got {reprlib.repr(sizes)}")
-    weight = [Fraction(0)] + [c[s] for s in range(1, len(sizes) + 1)]
+    weight = [0] + [c[s] for s in range(1, len(sizes) + 1)]
     return Fraction(_interval_sums(sizes, weight)[sum(sizes) + 1])
 
 

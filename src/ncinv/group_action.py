@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from ._rational import as_rational
 from ._value import Value
@@ -61,17 +61,11 @@ def sym_power(g: GroupElement, d: int) -> tuple[tuple[Fraction, ...], ...]:
     for j in range(d + 1):
         row = []
         for k in range(d + 1):
-            total = Fraction(0)
+            total = 0
             for r in range(max(0, j - (d - k)), min(k, j) + 1):
                 s = j - r
-                total += (
-                    comb(k, r)
-                    * e**r
-                    * (-b) ** (k - r)
-                    * comb(d - k, s)
-                    * (-c) ** s
-                    * a ** (d - k - s)
-                )
+                total += (comb(k, r) * e**r * (-b) ** (k - r)
+                          * comb(d - k, s) * (-c) ** s * a ** (d - k - s))
             row.append(Fraction(comb(d, k), comb(d, j)) * total)
         rows.append(tuple(row))
     return tuple(rows)
@@ -100,7 +94,8 @@ def act(g: GroupElement, poly: NcPolynomial) -> NcPolynomial:
                     continue
                 new_word = word[:pos] + (j,) + word[pos + 1:]
                 acc = nxt.get(new_word)
-                nxt[new_word] = coeff * weight if acc is None else acc + coeff * weight
+                # Fraction on the left: int * Fraction takes the slower reflected path.
+                nxt[new_word] = weight * coeff if acc is None else acc + weight * coeff
         terms = {word: c for word, c in nxt.items() if c}
     return NcPolynomial(poly.d, poly.m, terms)
 
@@ -127,9 +122,9 @@ def default_witnesses(seed: int = 0, random_count: int = 5) -> tuple[GroupElemen
     return (SHEAR_UPPER, SHEAR_LOWER, SCALE_TWO) + random_witnesses(seed, random_count)
 
 
-def _raising_image(poly: NcPolynomial) -> dict[tuple[int, ...], int]:
-    """The raising shear N_+ applied to poly, times the common denominator of
-    its coefficients; zero terms dropped.
+def _raising_image(poly: NcPolynomial) -> dict:
+    """The raising shear N_+ applied to poly's coefficients, zero terms
+    dropped: ints stay ints, Fractions stay Fractions.
 
     ``act`` substitutes a_k -> sum_j M_d(g^{-1})[k][j] a_j.  For the upper
     shears g_t = [[1, t], [0, 1]], g_t^{-1} = [[1, -t], [0, 1]], so b = -t
@@ -139,15 +134,13 @@ def _raising_image(poly: NcPolynomial) -> dict[tuple[int, ...], int]:
     integer weights.
     """
     d = poly.d
-    denominator = lcm(*(c.denominator for c in poly.terms.values()))
-    image: dict[tuple[int, ...], int] = {}
+    image = {}
     get = image.get
-    for word, coeff in poly.terms.items():
-        c = coeff.numerator * (denominator // coeff.denominator)
+    for word, c in poly.terms.items():
         for i, k in enumerate(word):
             if k < d:
                 new = word[:i] + (k + 1,) + word[i + 1:]
-                image[new] = get(new, 0) + (d - k) * c
+                image[new] = get(new, 0) + c * (d - k)
     return {word: c for word, c in image.items() if c}
 
 

@@ -310,11 +310,12 @@ def _interval_sums(sizes, weight) -> list:
             windows, later = place[b]
             gaps = ranges[b + 1]
             for s in range(min(top, windows), 0, -1):
-                longer = grow[s + 1]
                 total = weight[s] * gaps[hi]
-                for x in range(later, hi):
-                    if longer[x]:
-                        total += gaps[x] * longer[x]
+                if s < top:  # no block grows past top elements
+                    longer = grow[s + 1]
+                    for x in range(later, hi):
+                        if longer[x]:
+                            total += gaps[x] * longer[x]
                 grow[s][b] = total
             ranges[b][hi] = grow[1][b]
     return ranges[1]

@@ -1,9 +1,9 @@
 """Noncommutative polynomials in a_0..a_d and the symbol/restitution map.
 
 Words are tuples of letter indices (0-based, length m); coefficients are
-exact Fractions.  Only restitution's inner loop packs a word into one
-integer, a fixed number of bytes per letter; no other module sees that
-format.
+ints, or Fractions where a rational input or a division makes one.  Only
+restitution's inner loop packs a word into one integer, a fixed number of
+bytes per letter; no other module sees that format.
 
 The letter order a_d > a_(d-1) > ... > a_0 makes the lexicographically
 greatest word of a polynomial its leading term, which is how linear
@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from ._rational import exact
 from ._value import Value
 from .brackets import BracketExpression, BracketMonomial
 from .partitions import _iter_nc_matchings, window_of
@@ -27,7 +28,7 @@ from .partitions import _iter_nc_matchings, window_of
 
 class NcPolynomial(Value):
     """A homogeneous noncommutative polynomial: words of length m over
-    letters 0..d with Fraction coefficients; zero coefficients dropped."""
+    letters 0..d with int or Fraction coefficients; zero coefficients dropped."""
 
     _fields = ("d", "m", "terms")
     __hash__ = None  # terms is a dict
@@ -35,14 +36,14 @@ class NcPolynomial(Value):
     def __init__(self, d: int, m: int, terms=None):
         if d < 0 or m < 0:
             raise ValueError("d and m must be nonnegative")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean = {}
         for word, coeff in (terms or {}).items():
             word = tuple(word)
             if len(word) != m:
                 raise ValueError(f"word {word} has length != {m}")
             if any(not 0 <= k <= d for k in word):
                 raise ValueError(f"letter out of range 0..{d} in {word}")
-            c = Fraction(coeff)
+            c = exact(coeff)
             if c:
                 clean[word] = c
         self._store(d, m, clean)
@@ -55,14 +56,14 @@ class NcPolynomial(Value):
             raise ValueError("mismatched degree or word length")
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, Fraction(0)) + coeff
+            terms[word] = terms.get(word, 0) + coeff
         return NcPolynomial(self.d, self.m, terms)
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "NcPolynomial":
-        c = Fraction(scalar)
+        c = exact(scalar)
         return NcPolynomial(self.d, self.m, {w: c * v for w, v in self.terms.items()})
 
     __rmul__ = __mul__
@@ -134,19 +135,17 @@ def _letter_width(d: int) -> int:
 
 
 def _unpack(d: int, m: int, profiles: dict[int, int], denominator: int) -> NcPolynomial:
-    """The polynomial with coefficient c / denominator on each packed word."""
+    """The polynomial with coefficient c / denominator (int c if that is 1) on each word."""
     width = _letter_width(d)
     size = width * m
-    # Few distinct coefficients occur; build each Fraction once and share it.
-    values = {c: Fraction(c, denominator) for c in set(profiles.values()) if c}
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms = {}
     for key, c in profiles.items():
         if c:
             raw = key.to_bytes(size, "big")
             word = tuple(raw) if width == 1 else tuple(
                 int.from_bytes(raw[i:i + width], "big") for i in range(0, size, width))
-            terms[word] = values[c]
-    return NcPolynomial._trusted(d, m, terms)  # valid words, nonzero Fractions
+            terms[word] = c if denominator == 1 else Fraction(c, denominator)
+    return NcPolynomial._trusted(d, m, terms)  # valid words, nonzero coefficients
 
 
 def restitution(b) -> NcPolynomial:

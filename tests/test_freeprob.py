@@ -63,6 +63,10 @@ class TestCumulantSequence:
         table = CumulantSequence.from_table([Fraction(1, 2), 3])
         assert table[1] == Fraction(1, 2) and table[2] == 3 and table[3] == 0
 
+    def test_rule_values_are_ints(self):
+        assert type(SEMI[2]) is int and SEMI[2] == 1
+        assert type(SEMI[3]) is int and type(POISSON[4]) is int
+
     def test_parse(self):
         assert CumulantSequence.parse("semicircle") == SEMI
         assert CumulantSequence.parse("free-poisson") == POISSON

@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -255,9 +254,16 @@ class TestCertificate:
         assert is_invariant(poly) == expected
         if invariant:
             assert expected
-        denominator = lcm(*(c.denominator for c in poly.terms.values()))
-        assert _raising_image(poly) == {
-            word: c * denominator for word, c in upper_shear_log(poly).terms.items()}
+        assert _raising_image(poly) == upper_shear_log(poly).terms
+
+    def test_image_of_fraction_coefficients_is_plain(self):
+        # N_+: a_k -> (d-k) a_(k+1) on each letter, with no rescaling.
+        poly = NcPolynomial(2, 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(-3, 4), (2, 2): 5})
+        image = _raising_image(poly)
+        assert image == {(1, 1): Fraction(2, 3) - Fraction(3, 2), (0, 2): Fraction(1, 3),
+                         (2, 0): Fraction(-3, 4)}
+        assert _raising_image(NcPolynomial(2, 2, {(0, 0): Fraction(1, 2)})) == {
+            (1, 0): 1, (0, 1): 1}
 
     @pytest.mark.parametrize("m, d", [(2, 1), (2, 2), (2, 3), (4, 2), (1, 1), (3, 1), (3, 3), (5, 1)])
     def test_weight_check_is_needed(self, m, d):

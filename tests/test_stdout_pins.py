@@ -1,0 +1,115 @@
+"""Stdout pins: the SHA-256 of each command's stdout and its exit code, as
+recorded before the integer-coefficient change, so any change to a printed
+byte fails here.
+
+The commands are README's exact examples (``rewrite`` reads README's example
+file), the benchmark's exact CLI jobs at seed 1 (no cache flag; the
+``verify`` witness matrix fixed at 7 2 3 1), and a few larger or rational
+requests.  No command prints a quadrature column: its last digits depend on
+the platform's libm.  Run as a script to print the table anew.
+"""
+
+import contextlib
+import hashlib
+import io
+import shlex
+from pathlib import Path
+
+import pytest
+
+from ncinv.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# (arguments, sha256 of stdout, exit code)
+PINS = [
+    ('dim --d 2 --m 4',
+     '1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2', 0),
+    ('basis --d 2 --m 2',
+     '3c3e4b2941bb3d948cced143e005077bd80826f368af2d69cc83d9f25fc3f78b', 0),
+    ('basis --d 2 --m 4 --format json',
+     '9ede3605c1b5eb10f71869fce8a5a6872c533428b351a3b72eb618bfadcd7f52', 0),
+    ('hilbert --d 2 --max-m 7 --method enumeration',
+     'c03ee654067874ffeebe0daabfad7158e5bd9e26a31f2c4711a9fecdf366e84d', 0),
+    ('rewrite expression.json',
+     '9aee8a55d685c024ad1d9d82c76950f6cc44ba2bd0c89320a0a28e41039ebc2f', 0),
+    ('verify --d 2 --m 4',
+     'cba54f303362cd42361edfc6d4a082de96320a033f3c7cfd48a3746d6523fe60', 0),
+    ('verify --d 2 --m 4 --witnesses 5 --seed 7',
+     'cba54f303362cd42361edfc6d4a082de96320a033f3c7cfd48a3746d6523fe60', 0),
+    ('moments --rule free-poisson --n 8',
+     'b637b3b23100305fc589ba1c403e6bb791cb9eddf66381d5261e7f615da756d9', 0),
+    ('moments --rule "table:[0,1/2,3]" --n 6',
+     'edfc2a733a3ad588db4766ed3356f530872f9c2510ecd70f2b971b9b5fbff042', 0),
+    ('dim --d 4 --m 11',
+     '343a88fb9cfbfb17e4c6dce631a72f9743c0945deae6322a729059c1ed3ab845', 0),
+    ('dim --d 2 --m 16',
+     'b0cb588318eeabf4147eacf171c376236f285d7be12076e1a132519871d67967', 0),
+    ('dim --d 3 --m 10',
+     '370a179de80ae9ffdf5d5ae4266b06cdb5d7e0eb1b0684991ee85af3b8684b02', 0),
+    ('dim --d 6 --m 8',
+     '294fe74b1431b650f685b95cfc3381d93651e231bc1ffe76f5db0d0e6027e452', 0),
+    ('hilbert --d 2 --max-m 60 --method chebyshev --no-cache',
+     '5ca16ec4c6052f5ed13992a9e0b83c528f71d79c1648208ffb61f45dd7ea938f', 0),
+    ('hilbert --d 4 --max-m 40 --method chebyshev --no-cache',
+     '38a0df8506e66f7301fff46af48a33ac5e3ab5d7c92820638a3468cbb02da8ed', 0),
+    ('basis --d 2 --m 9',
+     'f8f469487a55ff7bcbcd03fa4200c71c56756ab61a0a56570afe4d1b6cbd0283', 0),
+    ('basis --d 2 --m 9 --format json',
+     '50dec3abcd12a851e34d1b415e2a91ceeed0a02240ac9f5775c57b078b3951a6', 0),
+    ('basis --d 4 --m 5',
+     'ee850a5d0523048b784f252ee176a3fd0c28d54d26fbc4f21cc497d5be9d80a2', 0),
+    ('basis --d 4 --m 5 --format json',
+     '315f71de1e6879c56768232335e517276d313883b226a2f87ab14742fef56c33', 0),
+    ('basis --d 3 --m 6',
+     'dca72026c6c7e881d53b059692be218cf15074ffd6c347e2df75b7263d86cbf8', 0),
+    ('basis --d 3 --m 6 --format json',
+     '24e462cfa5ebfca70df2abd716d30b44638d7da1c0ef077a431eca4ebd59be4c', 0),
+    ('verify --d 2 --m 6',
+     '54e32f6dc0075793b4eec9f56d0fa78f0fa757b6955131966dcb1d9694a8dd80', 0),
+    ('verify --d 4 --m 4',
+     '90e7c59240407013cf93a6c4fa3b528ce5462eb82d0731f396175edef18ee1d6', 0),
+    ('verify --d 2 --m 5 --witness-matrix 7 2 3 1',
+     'fb2bacb6fb1f65727da32c91e1876162aea1dcf94a1ad9936e9f8b1f56041a07', 0),
+    ('moments --rule free-poisson --n 150',
+     '56977dd3c198ceacad208a6c5b26af6d57ee233b0ed16cb01d348d140ee70157', 0),
+    ('moments --rule "table:[0,1,1/2,3]" --n 12',
+     'c31815e2a83842abce45f147866e7b479efad1c424b2cb70902176b896a301cc', 0),
+    ('verify --d 3 --m 4 --witnesses 2 --seed 3',
+     '20a39b17e3e9bfaff65ab72c6eb02cdede326fbe2c77e727fb8ebf95d916bde0', 0),
+    ('verify --d 3 --m 4 --witness-matrix 1/2 1 0 2',
+     '20a39b17e3e9bfaff65ab72c6eb02cdede326fbe2c77e727fb8ebf95d916bde0', 0),
+]
+
+
+def readme_example() -> str:
+    """The bracket expression of README's "File formats" section."""
+    text = README.read_text(encoding="utf-8").split("### File formats", 1)[1]
+    return text.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def run(command: str) -> tuple[str, int]:
+    """(sha256 of stdout, exit code) of ``ncinv <command>``, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(shlex.split(command))
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), code
+
+
+@pytest.mark.parametrize("command, digest, code", PINS, ids=[pin[0] for pin in PINS])
+def test_stdout_is_pinned(command, digest, code, tmp_path, monkeypatch):
+    (tmp_path / "expression.json").write_text(readme_example(), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(command) == (digest, code)
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        Path("expression.json").write_text(readme_example(), encoding="utf-8")
+        for command, _digest, _code in PINS:
+            digest, code = run(command)
+            print(f"    ({command!r},\n     {digest!r}, {code}),")

@@ -127,12 +127,42 @@ class TestRestitution:
 
     def test_built_terms_are_valid_fractions(self):
         # restitution skips re-validation; its output must be what the
-        # validating constructor would keep.
+        # validating constructor would keep: nonzero ints, kept as ints.
         for m, d in md_pairs(8):
             for poly in noncrossing_basis(m, d):
-                assert NcPolynomial(poly.d, poly.m, poly.terms) == poly
-                assert all(type(c) is Fraction and c for c in poly.terms.values())
+                rebuilt = NcPolynomial(poly.d, poly.m, poly.terms)
+                assert rebuilt == poly
+                assert all(type(c) is int and c for c in poly.terms.values())
+                assert all(type(c) is int for c in rebuilt.terms.values())
                 assert all(type(w) is tuple and len(w) == m for w in poly.terms)
+
+    @pytest.mark.parametrize("m, d, crossing", [
+        (2, 2, ((1, 3), (2, 4))),
+        (3, 2, ((1, 4), (2, 5), (3, 6))),
+        (4, 3, ((1, 4), (2, 5), (3, 6), (7, 10), (8, 11), (9, 12))),
+        (2, 300, tuple((k, 300 + k) for k in range(1, 301))),
+    ])
+    def test_monomial_coefficients_are_ints(self, m, d, crossing):
+        # Crossing or not, either sign: a bracket product expands in integers.
+        pairings = [p.blocks for p in enumerate_m_partite_nc_pairings(m, d)[:3]]
+        for sign in (1, -1):
+            for chords in [*pairings, crossing]:
+                poly = restitution(BracketMonomial(m, d, chords, sign))
+                assert poly.terms and all(type(c) is int for c in poly.terms.values())
+
+    def test_basis_coefficients_are_ints(self):
+        for poly in iter_noncrossing_basis(5, 2):
+            assert all(type(c) is int for c in poly.terms.values())
+
+    def test_rational_expression_gives_fractions(self):
+        nested, crossing = ((1, 4), (2, 3)), ((1, 3), (2, 4))
+        poly = restitution(BracketExpression(2, 2, {nested: Fraction(1, 3), crossing: 1}))
+        assert poly == (Fraction(1, 3) * restitution(BracketMonomial(2, 2, nested, 1))
+                        + restitution(BracketMonomial(2, 2, crossing, 1)))
+        assert all(type(c) is Fraction and c.denominator == 3 for c in poly.terms.values())
+        # Fraction coefficients with denominator 1 still give ints.
+        whole = restitution(BracketExpression(2, 2, {nested: 2, crossing: Fraction(-1)}))
+        assert all(type(c) is int for c in whole.terms.values())
 
     def test_expression_with_rational_coefficients(self):
         monos = [BracketMonomial(4, 2, chords, 1) for chords in (
