@@ -1,8 +1,10 @@
-"""Exact values read from outside the program: text and parsed JSON.
+"""Exact values under one number rule: an int stays an int, and only a
+rational input or a real division makes a Fraction.
 
-One parser for every rational that arrives as a string (bracket-file
-coefficients, ``verify --witness-matrix`` entries, cumulant tables): an
-integer, ``p/q`` or a plain decimal.  Exponents are refused, because
+``exact`` applies the rule to every number a record or a sum of terms
+stores: an int as it is, a string through ``parse_rational``, anything else
+through Fraction.  The parser reads an integer (an int), ``p/q`` or a plain
+decimal (a Fraction, so "3/1" stays one).  Exponents are refused, because
 ``Fraction("1e999999999")`` would build that power of ten in full.
 
 The ``json_*`` readers check the fields of the one JSON document a command
@@ -21,28 +23,27 @@ from fractions import Fraction
 _RATIONAL = re.compile(r"\s*[+-]?(\d+/\d+|\d*\.?\d+)\s*")
 
 
-def parse_rational(text: str, what: str) -> Fraction:
-    """The rational written in ``text``; ValueError, naming ``what``, for
-    anything but an integer, p/q or a plain decimal, or a zero denominator."""
+def parse_rational(text: str, what: str) -> int | Fraction:
+    """The rational written in ``text``, an int for an integer literal;
+    ValueError, naming ``what``, for anything but an integer, p/q or a plain
+    decimal, or a zero denominator."""
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"{what} must be an integer, p/q or a plain decimal, "
                          f"got {reprlib.repr(text)}")
+    if "/" not in text and "." not in text:
+        return int(text)
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{what} {reprlib.repr(text)} has a zero denominator") from None
 
 
-def as_rational(value, what: str) -> Fraction:
-    """A string through ``parse_rational``; any other value through Fraction."""
-    if isinstance(value, str):
-        return parse_rational(value, what)
-    return Fraction(value)
-
-
-def exact(value):
-    """An int as it is; any other number, or a numeric string, through Fraction."""
-    return value if type(value) is int else Fraction(value)
+def exact(value, what: str = "value") -> int | Fraction:
+    """An int as it is; a string through ``parse_rational``, naming ``what``
+    in its error; any other number through Fraction."""
+    if type(value) is int:
+        return value
+    return parse_rational(value, what) if isinstance(value, str) else Fraction(value)
 
 
 def json_field(data, key: str):
@@ -69,11 +70,9 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def json_rational(value, what: str) -> Fraction:
+def json_rational(value, what: str) -> int | Fraction:
     """A JSON integer, or a string read by ``parse_rational``."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value, what)
-    raise ValueError(f'{what} must be an integer or a string such as "2/3", '
-                     f"got {reprlib.repr(value)}")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f'{what} must be an integer or a string such as "2/3", '
+                         f"got {reprlib.repr(value)}")
+    return exact(value, what)

@@ -96,7 +96,7 @@ class BracketExpression(Value):
         summed = {}
         for chords, coeff in (terms or {}).items():
             key = _canonical(chords)
-            summed[key] = summed.get(key, 0) + exact(coeff)
+            summed[key] = summed.get(key, 0) + exact(coeff, "coefficient")
         self._store(m, d, {chords: c for chords, c in summed.items() if c})
 
     @classmethod

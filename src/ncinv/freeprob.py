@@ -1,7 +1,7 @@
 """Free cumulants, moment-cumulant inversion over NC(n), and the
 combinatorial moments of free stochastic measures.
 
-The sums stay ints while the cumulants are ints; the records store Fractions.
+The records keep what ``_rational.exact`` returns: int sums stay ints.
 No sum over NC(n) is listed term by term: each is split by the block that
 holds its first point, whose gaps are independent smaller sums.  That gives
 an O(n^3) recursion for the moment-cumulant relation and an O(n^3 m) one for
@@ -16,7 +16,7 @@ from __future__ import annotations
 import reprlib
 from fractions import Fraction
 
-from ._rational import as_rational
+from ._rational import exact
 from ._value import Value
 
 
@@ -25,8 +25,8 @@ class MomentSequence(Value):
 
     _fields = ("values",)
 
-    def __init__(self, values: tuple[Fraction, ...]) -> None:
-        values = tuple(Fraction(v) for v in values)
+    def __init__(self, values: tuple[int | Fraction, ...]) -> None:
+        values = tuple(exact(v, "moment") for v in values)
         if not values or values[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
         self._store(values)
@@ -35,7 +35,7 @@ class MomentSequence(Value):
     def order(self) -> int:
         return len(self.values) - 1
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int | Fraction:
         return self.values[k]
 
 
@@ -48,10 +48,10 @@ class CumulantSequence(Value):
 
     _fields = ("kind", "table")
 
-    def __init__(self, kind: str, table: tuple[Fraction, ...] = ()) -> None:
+    def __init__(self, kind: str, table: tuple[int | Fraction, ...] = ()) -> None:
         if kind not in ("semicircle", "free-poisson", "table"):
             raise ValueError(f"unknown cumulant rule {reprlib.repr(kind)}")
-        self._store(kind, tuple(as_rational(v, "cumulant") for v in table))
+        self._store(kind, tuple(exact(v, "cumulant") for v in table))
 
     @classmethod
     def semicircle(cls) -> "CumulantSequence":
@@ -139,13 +139,13 @@ def cumulants_from_moments(m: MomentSequence, n: int) -> CumulantSequence:
     solved triangularly: c_k = m_k - (the first-block sum over s < k)."""
     if m.order < n:
         raise ValueError(f"need moments up to order {n}")
-    cums: list[Fraction] = []
+    cums: list = []
     for k, rest in enumerate(_first_block_sums(m.values, cums, n), start=1):
         cums.append(m[k] - rest)
     return CumulantSequence.from_table(cums)
 
 
-def psi_mixed_moment(k, c: CumulantSequence) -> Fraction:
+def psi_mixed_moment(k, c: CumulantSequence) -> int | Fraction:
     """Joint moment of stochastic measures psi_{k_1} ... psi_{k_m}:
 
     the sum over sigma in NC(k_1+...+k_m) whose meet with the interval
@@ -154,7 +154,7 @@ def psi_mixed_moment(k, c: CumulantSequence) -> Fraction:
     Summed by the interval sum ``partitions._interval_sums``, split by the
     block that holds the first point of a range.  A block takes at most one
     point per window, so only c_1..c_m enter.  O(n^3 m) exact operations for
-    n points; the result is a Fraction even when every cumulant is zero.
+    n points; the result is an int when the cumulants c_1..c_m are.
     """
     from .partitions import _interval_sums
 
@@ -162,10 +162,10 @@ def psi_mixed_moment(k, c: CumulantSequence) -> Fraction:
     if any(isinstance(v, bool) or not isinstance(v, int) or v <= 0 for v in sizes):
         raise ValueError(f"group sizes must be positive integers, got {reprlib.repr(sizes)}")
     weight = [0] + [c[s] for s in range(1, len(sizes) + 1)]
-    return Fraction(_interval_sums(sizes, weight)[sum(sizes) + 1])
+    return _interval_sums(sizes, weight)[sum(sizes) + 1]
 
 
-def psi_orthogonality(m: int, n: int, c: CumulantSequence) -> Fraction:
+def psi_orthogonality(m: int, n: int, c: CumulantSequence) -> int | Fraction:
     """psi_mixed_moment((m, n), c) for a centered variable; equals
     delta_{mn} c_2^n."""
     if c[1] != 0:

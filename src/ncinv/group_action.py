@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from ._rational import as_rational
+from ._rational import exact
 from ._value import Value
 from .symbolic import NcPolynomial
 
@@ -30,8 +30,8 @@ class GroupElement(Value):
 
     _fields = ("a", "b", "c", "e")
 
-    def __init__(self, a: Fraction, b: Fraction, c: Fraction, e: Fraction) -> None:
-        a, b, c, e = (as_rational(value, f"entry {name}")
+    def __init__(self, a, b, c, e) -> None:
+        a, b, c, e = (exact(value, f"entry {name}")
                       for name, value in zip(self._fields, (a, b, c, e)))
         if a * e - b * c != 1:
             raise ValueError("determinant must be exactly 1")
@@ -46,13 +46,14 @@ SHEAR_LOWER = GroupElement(1, 0, 1, 1)
 SCALE_TWO = GroupElement(2, 0, 0, Fraction(1, 2))
 
 
-def sym_power(g: GroupElement, d: int) -> tuple[tuple[Fraction, ...], ...]:
+def sym_power(g: GroupElement, d: int) -> tuple[tuple, ...]:
     """The rows of M_d(g), the action of g on binomially weighted coefficients.
 
     Substituting the dual action of g^{-1} = [[e,-b],[-c,a]] into X, Y gives
-    X -> eX - bY, Y -> -cX + aY; expanding (eX-bY)^k(-cX+aY)^(d-k) and reading
-    the X^j Y^(d-j) coefficient against the binom(d,j)-weighted basis yields
-    M[j][k] exactly.
+    X -> eX - bY, Y -> -cX + aY.  Expanding (eX-bY)^k(-cX+aY)^(d-k) and
+    reading the X^j Y^(d-j) coefficient against the binom(d,j)-weighted basis
+    gives binom(d,k) binom(k,r) binom(d-k,j-r) / binom(d,j) per term, which is
+    binom(j,r) binom(d-j,k-r): no division, so an integer g has int rows.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -62,11 +63,10 @@ def sym_power(g: GroupElement, d: int) -> tuple[tuple[Fraction, ...], ...]:
         row = []
         for k in range(d + 1):
             total = 0
-            for r in range(max(0, j - (d - k)), min(k, j) + 1):
-                s = j - r
-                total += (comb(k, r) * e**r * (-b) ** (k - r)
-                          * comb(d - k, s) * (-c) ** s * a ** (d - k - s))
-            row.append(Fraction(comb(d, k), comb(d, j)) * total)
+            for r in range(max(0, j + k - d), min(j, k) + 1):
+                total += (comb(j, r) * comb(d - j, k - r) * e**r * (-c) ** (j - r)
+                          * (-b) ** (k - r) * a ** (d - j - k + r))
+            row.append(total)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -84,7 +84,7 @@ def act(g: GroupElement, poly: NcPolynomial) -> NcPolynomial:
     size = poly.d + 1
     terms = dict(poly.terms)
     for pos in range(poly.m):
-        nxt: dict[tuple[int, ...], Fraction] = {}
+        nxt: dict[tuple[int, ...], int | Fraction] = {}
         for word, coeff in terms.items():
             k = word[pos]
             row = rows[k]
@@ -94,7 +94,7 @@ def act(g: GroupElement, poly: NcPolynomial) -> NcPolynomial:
                     continue
                 new_word = word[:pos] + (j,) + word[pos + 1:]
                 acc = nxt.get(new_word)
-                # Fraction on the left: int * Fraction takes the slower reflected path.
+                # Weight on the left: int * Fraction takes the slower reflected path.
                 nxt[new_word] = weight * coeff if acc is None else acc + weight * coeff
         terms = {word: c for word, c in nxt.items() if c}
     return NcPolynomial(poly.d, poly.m, terms)
@@ -129,9 +129,8 @@ def _raising_image(poly: NcPolynomial) -> dict:
     ``act`` substitutes a_k -> sum_j M_d(g^{-1})[k][j] a_j.  For the upper
     shears g_t = [[1, t], [0, 1]], g_t^{-1} = [[1, -t], [0, 1]], so b = -t
     and c = 0 in ``sym_power``: only r = j survives and, to first order in
-    t, M[k][k+1] = binom(d,k+1)/binom(d,k) (k+1) t = (d-k) t.  So N_+ is the
-    derivation a_k -> (d-k) a_(k+1): a word maps to at most m words, with
-    integer weights.
+    t, M[k][k+1] = binom(d-k,1) t = (d-k) t.  So N_+ is the derivation
+    a_k -> (d-k) a_(k+1): a word maps to at most m words, with integer weights.
     """
     d = poly.d
     image = {}

@@ -43,7 +43,7 @@ class NcPolynomial(Value):
                 raise ValueError(f"word {word} has length != {m}")
             if any(not 0 <= k <= d for k in word):
                 raise ValueError(f"letter out of range 0..{d} in {word}")
-            c = exact(coeff)
+            c = exact(coeff, "coefficient")
             if c:
                 clean[word] = c
         self._store(d, m, clean)
@@ -63,7 +63,7 @@ class NcPolynomial(Value):
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "NcPolynomial":
-        c = exact(scalar)
+        c = exact(scalar, "scalar")
         return NcPolynomial(self.d, self.m, {w: c * v for w, v in self.terms.items()})
 
     __rmul__ = __mul__

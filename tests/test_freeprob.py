@@ -103,6 +103,10 @@ class TestMoments:
         with pytest.raises(ValueError):
             MomentSequence((Fraction(2),))
 
+    def test_moment_sequence_keeps_ints(self):
+        values = MomentSequence((1, "2", Fraction(3), "3/1", "0.5")).values
+        assert [type(v) for v in values] == [int, int, Fraction, Fraction, Fraction]
+
     def test_semicircle_even_moments_catalan(self):
         ms = moments_from_cumulants(SEMI, 10)
         for k in range(11):
@@ -138,6 +142,12 @@ class TestInversion:
         ms = moments_from_cumulants(POISSON, 8)
         c = cumulants_from_moments(ms, 8)
         assert all(c[k] == 1 for k in range(1, 9))
+
+    def test_int_moments_give_int_cumulants(self):
+        ms = moments_from_cumulants(POISSON, 120)
+        assert all(type(v) is int for v in ms.values)
+        cums = cumulants_from_moments(ms, 120).table
+        assert len(cums) == 120 and all(type(v) is int and v == 1 for v in cums)
 
     def test_zero_moments(self):
         ms = MomentSequence((1, 0, 0, 0, 0, 0, 0))
@@ -221,10 +231,16 @@ class TestPsiMoments:
                                    CumulantSequence.from_table([0, 0, 0])],
                              ids=["semicircle", "empty-table", "zero-table"])
     def test_result_is_a_fraction(self, sizes, c):
-        # The interval sum starts from int zeros; a zero answer is still a Fraction.
+        # The result's type follows the cumulants: a Fraction only where one
+        # enters, so these integer cumulants give an int.
         got = psi_mixed_moment(sizes, c)
-        assert type(got) is Fraction
+        assert type(got) is int
         assert got == brute_psi(sizes, c)
+
+    def test_rational_cumulant_gives_a_fraction(self):
+        halves = CumulantSequence.from_table([0, Fraction(1, 2)])
+        got = psi_mixed_moment((2, 2), halves)
+        assert type(got) is Fraction and got == Fraction(1, 4) == brute_psi((2, 2), halves)
 
     @pytest.mark.parametrize("sizes, want", [
         ((4,) * 5, 16),

@@ -77,6 +77,11 @@ class TestGroupElement:
         g = GroupElement("1.5", "+1/2", " 1 ", "1")
         assert (g.a, g.b, g.c, g.e) == (Fraction(3, 2), Fraction(1, 2), 1, 1)
 
+    def test_integer_entries_stay_ints(self):
+        g = GroupElement(7, "2", 3, " 1 ")
+        assert [type(v) for v in (g.a, g.b, g.c, g.e)] == [int] * 4
+        assert type(GroupElement("3/1", 0, 0, "1/3").a) is Fraction
+
     def test_random_elements_have_det_one(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -129,6 +134,30 @@ class TestSymPower:
                 ginv_v = (g.e * v[0] - g.b * v[1], -g.c * v[0] + g.a * v[1])
                 assert eval_form(d, new_xi, v) == eval_form(d, xi, ginv_v)
 
+    @pytest.mark.parametrize("g", [SHEAR_UPPER, SHEAR_LOWER, GroupElement(7, 2, 3, 1),
+                                   GroupElement(-2, 3, -1, 1), GroupElement(-1, 0, 0, -1)])
+    def test_integer_matrix_has_int_entries(self, g):
+        for d in range(9):
+            assert all(type(x) is int for row in sym_power(g, d) for x in row)
+
+    def test_matches_the_binomial_quotient(self):
+        # Expanding (eX-bY)^k (-cX+aY)^(d-k) gives the entries with the factor
+        # binom(d,k) / binom(d,j); sym_power's summand has it cancelled.
+        from math import comb
+
+        rng = random.Random(31)
+        for d in range(9):
+            g = random_group_element(rng)
+            a, b, c, e = g.a, g.b, g.c, g.e
+            expected = tuple(
+                tuple(Fraction(comb(d, k), comb(d, j)) * sum(
+                    comb(k, r) * e**r * (-b) ** (k - r) * comb(d - k, j - r)
+                    * (-c) ** (j - r) * a ** (d - k - j + r)
+                    for r in range(max(0, j - (d - k)), min(k, j) + 1))
+                    for k in range(d + 1))
+                for j in range(d + 1))
+            assert sym_power(g, d) == expected
+
 
 class TestAct:
     def test_identity_fixes_everything(self):
@@ -152,6 +181,14 @@ class TestAct:
         out = act(SHEAR_UPPER, poly)
         assert out.d == 3 and out.m == 2
         assert all(len(w) == 2 for w in out.terms)
+
+    def test_integer_witness_keeps_int_coefficients(self):
+        g = GroupElement(7, 2, 3, 1)
+        for m, d in ((4, 2), (3, 2), (2, 3)):
+            for poly in noncrossing_basis(m, d):
+                image = act(g, poly)
+                assert image == poly
+                assert all(type(c) is int for c in image.terms.values())
 
     def test_constant_fixed(self):
         poly = NcPolynomial(2, 0, {(): Fraction(5, 7)})

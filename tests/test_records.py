@@ -43,7 +43,7 @@ RECORDS = {
         lambda: MomentSequence((1, 0, 1)),
         lambda: MomentSequence([Fraction(1), 0, "1"]),
         lambda: MomentSequence((1, 0, 2)),
-        "MomentSequence(values=(Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)))",
+        "MomentSequence(values=(1, 0, 1))",
     ),
     "CumulantSequence": (
         lambda: CumulantSequence("table", ("1/2",)),
@@ -55,8 +55,7 @@ RECORDS = {
         lambda: GroupElement(2, 0, 0, "1/2"),
         lambda: GroupElement(a=Fraction(2), b=0, c=0, e=Fraction(1, 2)),
         lambda: GroupElement(2, 1, 0, "1/2"),
-        "GroupElement(a=Fraction(2, 1), b=Fraction(0, 1), c=Fraction(0, 1), "
-        "e=Fraction(1, 2))",
+        "GroupElement(a=2, b=0, c=0, e=Fraction(1, 2))",
     ),
 }
 

@@ -1,12 +1,14 @@
-"""Stdout pins: the SHA-256 of each command's stdout and its exit code, as
-recorded before the integer-coefficient change, so any change to a printed
-byte fails here.
+"""Stdout pins: the SHA-256 of each command's stdout and its exit code, each
+recorded before the code behind it changed its number types, so any change
+to a printed byte fails here.
 
 The commands are README's exact examples (``rewrite`` reads README's example
 file), the benchmark's exact CLI jobs at seed 1 (no cache flag; the
-``verify`` witness matrix fixed at 7 2 3 1), and a few larger or rational
-requests.  No command prints a quadrature column: its last digits depend on
-the platform's libm.  Run as a script to print the table anew.
+``verify`` witness matrix fixed at 7 2 3 1), a few larger or rational
+requests, and ``rewrite`` of one crossing expression whose coefficient is
+written as a JSON integer and as four strings.  No command prints a
+quadrature column: its last digits depend on the platform's libm.  Run as a
+script to print the table anew.
 """
 
 import contextlib
@@ -79,13 +81,48 @@ PINS = [
      '20a39b17e3e9bfaff65ab72c6eb02cdede326fbe2c77e727fb8ebf95d916bde0', 0),
     ('verify --d 3 --m 4 --witness-matrix 1/2 1 0 2',
      '20a39b17e3e9bfaff65ab72c6eb02cdede326fbe2c77e727fb8ebf95d916bde0', 0),
+    ('rewrite coeff-int.json',
+     '0a940717e99e462401a89d2d16fa256f871755e0aec71a34a62d3ee728c234db', 0),
+    ('rewrite coeff-str.json',
+     '0a940717e99e462401a89d2d16fa256f871755e0aec71a34a62d3ee728c234db', 0),
+    ('rewrite coeff-ratio.json',
+     '0a940717e99e462401a89d2d16fa256f871755e0aec71a34a62d3ee728c234db', 0),
+    ('rewrite coeff-decimal.json',
+     'a39a9070b5b4520f7ef59a39800f38a71e1ed429801d595f85714831e43e165f', 0),
+    ('rewrite coeff-negative.json',
+     '6b3092b6d7600c37c0ab0e299a4bc522a5ef070f6e5fda1090ef0a40e276fe52', 0),
+    ('verify --d 3 --m 6 --witness-matrix 7 2 3 1',
+     '7bc2f37375147cf9adde346987d50d09c4ca0d4921544a8424d0bce6b6494990', 0),
+    ('verify --d 2 --m 6 --witness-matrix 2 0 0 1/2',
+     '54e32f6dc0075793b4eec9f56d0fa78f0fa757b6955131966dcb1d9694a8dd80', 0),
+    ('moments --rule "table:[0,1,2,3]" --n 40',
+     'ebf4e898a5357517fcdbdbfb2e85f55a996b3345f1c4d268641df6455e245703', 0),
 ]
+
+# The coefficient of the inline ``rewrite`` files, as written in the JSON.
+COEFFICIENTS = {"int": "3", "str": '"3"', "ratio": '"3/1"', "decimal": '"0.5"',
+                "negative": '"-2/4"'}
 
 
 def readme_example() -> str:
     """The bracket expression of README's "File formats" section."""
     text = README.read_text(encoding="utf-8").split("### File formats", 1)[1]
     return text.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def inline_expression(coeff: str) -> str:
+    """Two crossing bracket monomials at m = 4, d = 2: the first weighted by
+    ``coeff``, the second by 1 with sign -1."""
+    return ('{"m": 4, "d": 2, "terms": ['
+            f'{{"coeff": {coeff}, "chords": [[1, 5], [2, 7], [3, 6], [4, 8]]}}, '
+            '{"coeff": 1, "chords": [[1, 3], [2, 5], [4, 7], [6, 8]], "sign": -1}]}')
+
+
+def write_files(directory: Path) -> None:
+    """README's example file and the inline ``rewrite`` files."""
+    (directory / "expression.json").write_text(readme_example(), encoding="utf-8")
+    for name, coeff in COEFFICIENTS.items():
+        (directory / f"coeff-{name}.json").write_text(inline_expression(coeff), encoding="utf-8")
 
 
 def run(command: str) -> tuple[str, int]:
@@ -98,7 +135,7 @@ def run(command: str) -> tuple[str, int]:
 
 @pytest.mark.parametrize("command, digest, code", PINS, ids=[pin[0] for pin in PINS])
 def test_stdout_is_pinned(command, digest, code, tmp_path, monkeypatch):
-    (tmp_path / "expression.json").write_text(readme_example(), encoding="utf-8")
+    write_files(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert run(command) == (digest, code)
 
@@ -109,7 +146,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        Path("expression.json").write_text(readme_example(), encoding="utf-8")
+        write_files(Path(tmp))
         for command, _digest, _code in PINS:
             digest, code = run(command)
             print(f"    ({command!r},\n     {digest!r}, {code}),")
