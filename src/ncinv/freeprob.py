@@ -7,8 +7,7 @@ holds its first point, whose gaps are independent smaller sums.  That gives
 an O(n^3) recursion for the moment-cumulant relation and an O(n^3 m) one for
 ``psi_mixed_moment``, where the interval ("at most one element per group")
 constraint decides which points can follow in a block.  That interval sum
-is ``partitions._interval_sums``, which ``hilbert.dims_by_enumeration`` also
-runs with c_2 = 1 as its only cumulant, to count m-partite pairings.
+is ``partitions._interval_sums``.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ For fixed form degree d, dims[m] is the dimension of the degree-m invariant
 space: the number of m-partite noncrossing pairings of [md].  The three
 routes are
 
-  enumeration  -- count the pairings by the interval sum that
-                  ``freeprob.psi_mixed_moment`` runs, with c_2 = 1 as the
-                  only cumulant (exact integers),
+  enumeration  -- count the pairings of each run of points by the chord
+                  at its first point, a recursion periodic in the window
+                  offset (exact integers),
   chebyshev    -- expand U_d(x)^m over the dilated Chebyshev recursion
                   U_n = x U_{n-1} - U_{n-2} and take semicircle moments
                   (even moments are Catalan numbers; exact integers),
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from operator import mul, sub
 
 from ._value import Value
@@ -57,17 +58,34 @@ class DimensionSeries(Value):
 
 
 def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
-    """dims[m] = number of m-partite noncrossing pairings of [md]: one
-    interval sum over max_m windows of d points, with weight 1 on pairs and 0
-    on every other block, read at each window's end.  O((max_m d)^3) integer
-    operations, and independent of the transfer count that
-    ``partitions.count_m_partite_nc_pairings`` uses."""
-    from .partitions import _interval_sums
-
+    """dims[m] = runs[0][md/2], where runs[o][j] counts the pairings of 2j
+    consecutive points from window offset o with no chord inside a window.
+    If the first point pairs with the point 2i + 1 on, the 2i points between
+    and the 2(j - i - 1) after are independent runs, from offsets o + 1 and
+    o + 2i + 2 (mod d).  A chord inside a window encloses a run inside it,
+    which has no pairing unless it is empty, so only the nonzero enclosed
+    runs are visited: at most O(d (max_m d)^2) integer products.  Independent
+    of the transfer count that ``partitions.count_m_partite_nc_pairings``
+    uses."""
     if d < 0 or max_m < 0:
         raise ValueError("d and max_m must be nonnegative")
-    row = _interval_sums((d,) * max_m, (0, 0, 1))
-    return DimensionSeries(d, tuple(row[m * d + 1] for m in range(max_m + 1)))
+    if d == 0:
+        return DimensionSeries(0, (1,) * (max_m + 1))
+    runs = [[1] for _ in range(d)]
+    # inner[p]: (i, runs[p][i], runs[(p + 2i + 1) % d]) per run a chord from p - 1 can enclose
+    inner = [[(0, 1, runs[1 % d])]] + [[] for _ in range(d - 1)]
+    for j in range(1, max_m * d // 2 + 1):
+        for o in range(d):
+            total = 0
+            for i, between, after in inner[(o + 1) % d]:
+                if i >= j:
+                    break
+                total += between * after[j - i - 1]
+            runs[o].append(total)
+            if total:
+                inner[o].append((j, total, runs[(o + 2 * j + 1) % d]))
+    return DimensionSeries(d, tuple(0 if m * d % 2 else runs[0][m * d // 2]
+                                    for m in range(max_m + 1)))
 
 
 def dims_by_chebyshev(d: int, max_m: int) -> DimensionSeries:
@@ -126,7 +144,9 @@ def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
     with a bound on each entry's rounding error.  The rule and the integrand
     are symmetric under x -> pi - x up to the sign (-1)^(dm), so the nodes
     right of pi/2 are folded onto their mirrors: about 1.5 nodes per panel,
-    and exactly 0.0 where dm is odd.
+    and exactly 0.0 where dm is odd.  The nodes' ratios and weights are kept
+    packed in two float arrays, and each row is summed straight from the
+    running powers, so memory is O(nodes) with no list of terms.
 
     All nodes are interior, so the removable endpoint singularity of the
     ratio never needs special casing.  Powers of the ratio are accumulated
@@ -150,26 +170,22 @@ def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
     half = h / 2.0
     off = half * _GAUSS3_OFFSET
     side, mid = 5.0 / 9.0 * half, 8.0 / 9.0 * half
-    points = []  # the panels left of pi/2, each weight doubled for its mirror
-    for i in range((nodes + 1) // 2):
+    ratios, weights = array("d"), array("d")
+    for i in range((nodes + 1) // 2):  # the panels left of pi/2, weights doubled for their mirrors
         center = (i + 0.5) * h
-        points += (center - off, 2 * side), (center, 2 * mid), (center + off, 2 * side)
-    if nodes % 2:  # the middle panel is its own mirror: left node twice, centre once
-        points[-2:] = [(points[-2][0], mid)]
-    ratios = []
-    weights = []
-    for x, w in points:
-        s = math.sin(x)
-        ratios.append(math.sin((d + 1) * x) / s)
-        weights.append(s * s * w)
-    out = []
-    bounds = []
-    powers = [1.0] * len(ratios)
+        panel = (center - off, 2 * side), (center, 2 * mid), (center + off, 2 * side)
+        if 2 * i + 1 == nodes:  # the middle panel is its own mirror: left node twice, centre once
+            panel = panel[0], (center, mid)
+        for x, w in panel:
+            s = math.sin(x)
+            ratios.append(math.sin((d + 1) * x) / s)
+            weights.append(s * s * w)
+    out, bounds, powers = [], [], [1.0] * len(ratios)
     for m in range(max_m + 1):
-        terms = list(map(mul, powers, weights))
         # Infinite once a power, a term or their sum overflows.  The weights and
         # even powers are nonnegative, so for even m the sum is its own size;
         # for odd m the sizes are summed apart, as fsum fails on -inf + inf.
+        terms = map(mul, powers, weights)  # an iterator: no row holds a list of terms
         try:
             size = math.fsum(terms) if m % 2 == 0 else sum(map(abs, terms))
         except OverflowError:  # fsum's exact sum left the float range
@@ -178,8 +194,7 @@ def dims_by_quadrature(d: int, max_m: int, nodes: int) -> DimensionSeries:
             raise ValueError(f"quadrature at d={d} overflows a float at m={m}; "
                              f"use the chebyshev method, which is exact at every size")
         # Odd about pi/2 when dm is odd, so the mirror halves cancel exactly.
-        total = size if m % 2 == 0 else 0.0 if d % 2 else math.fsum(terms)
-        del terms  # before the next powers are built, to hold two node lists, not three
+        total = size if m % 2 == 0 else 0.0 if d % 2 else math.fsum(map(mul, powers, weights))
         out.append(total * 2.0 / math.pi)
         bounds.append((m * (d + 1) + 3) * _EPS * size * 2.0 / math.pi)
         powers = list(map(mul, powers, ratios))

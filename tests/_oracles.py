@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 
 
 def all_set_partitions(n: int):
@@ -229,3 +230,40 @@ def unfolded_quadrature(d: int, max_m: int, nodes: int) -> tuple:
         out.append(math.fsum(map(operator.mul, powers, weights)) * 2.0 / math.pi)
         powers = list(map(operator.mul, powers, ratios))
     return tuple(out)
+
+
+def listed_folded_quadrature(d: int, max_m: int, nodes: int) -> tuple:
+    """(dims, roundoff) of ``hilbert.dims_by_quadrature`` as the folded rule
+    first computed them: the nodes as a list of (x, w) tuples and each row's
+    terms as a list.  Raises the same ValueError at the first row that leaves
+    the float range."""
+    h = math.pi / nodes
+    half = h / 2.0
+    off = half * math.sqrt(3.0 / 5.0)
+    side, mid = 5.0 / 9.0 * half, 8.0 / 9.0 * half
+    points = []
+    for i in range((nodes + 1) // 2):
+        center = (i + 0.5) * h
+        points += (center - off, 2 * side), (center, 2 * mid), (center + off, 2 * side)
+    if nodes % 2:
+        points[-2:] = [(points[-2][0], mid)]
+    ratios, weights = [], []
+    for x, w in points:
+        s = math.sin(x)
+        ratios.append(math.sin((d + 1) * x) / s)
+        weights.append(s * s * w)
+    out, bounds, powers = [], [], [1.0] * len(ratios)
+    for m in range(max_m + 1):
+        terms = list(map(operator.mul, powers, weights))
+        try:
+            size = math.fsum(terms) if m % 2 == 0 else sum(map(abs, terms))
+        except OverflowError:
+            size = math.inf
+        if not math.isfinite(size):
+            raise ValueError(f"quadrature at d={d} overflows a float at m={m}; "
+                             f"use the chebyshev method, which is exact at every size")
+        total = size if m % 2 == 0 else 0.0 if d % 2 else math.fsum(terms)
+        out.append(total * 2.0 / math.pi)
+        bounds.append((m * (d + 1) + 3) * sys.float_info.epsilon * size * 2.0 / math.pi)
+        powers = list(map(operator.mul, powers, ratios))
+    return tuple(out), tuple(bounds)

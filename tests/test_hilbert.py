@@ -4,6 +4,7 @@ from itertools import zip_longest
 import pytest
 
 from ncinv import hilbert
+from ncinv.freeprob import CumulantSequence, psi_mixed_moment
 from ncinv.hilbert import (
     QUADRATURE_TOL,
     MethodComparison,
@@ -16,7 +17,7 @@ from ncinv.hilbert import (
 )
 from ncinv.partitions import _iter_nc_matchings, catalan
 
-from _oracles import unfolded_quadrature
+from _oracles import listed_folded_quadrature, unfolded_quadrature
 
 
 def horner(coeffs, x):
@@ -88,9 +89,29 @@ class TestExactSeries:
     def test_methods_agree(self):
         for d in range(9):
             assert dims_by_enumeration(d, 24).dims == dims_by_chebyshev(d, 24).dims, d
+        for d, max_m in ((255, 2), (4, 100), (2, 300)):
+            assert dims_by_enumeration(d, max_m).dims == dims_by_chebyshev(d, max_m).dims, d
+
+    def test_enumeration_equals_the_semicircle_psi_moments(self):
+        for d in range(1, 7):
+            dims = dims_by_enumeration(d, 12 // d).dims
+            for m in range(12 // d + 1):
+                assert psi_mixed_moment((d,) * m, CumulantSequence.semicircle()) == dims[m]
+
+    def test_enumeration_counts_the_singleton_free_thickenings(self):
+        # Thickening doubles each point of [m d/2] (windows of d/2) and joins
+        # the consecutive points of each block by chords.  A singleton would
+        # give a chord inside a window, so the m-partite pairings of [m d] are
+        # the thickenings of the m-partite partitions with no singleton:
+        # c_1 = 0 and c_k = 1 for k >= 2.
+        no_singletons = CumulantSequence.from_table([0] + [1] * 10)
+        for d in (2, 4, 6, 8):
+            dims = dims_by_enumeration(d, 10).dims
+            for m in range(11):
+                assert psi_mixed_moment((d // 2,) * m, no_singletons) == dims[m], (d, m)
 
     def test_enumeration_counts_the_walk(self):
-        # The interval sum counts what the pairing walk lists, row by row.
+        # The run recursion counts what the pairing walk lists, row by row.
         for d in range(1, 6):
             for m in range(16 // d + 1):
                 walked = sum(1 for _ in _iter_nc_matchings(m * d, d))
@@ -158,6 +179,29 @@ class TestQuadrature:
     def test_rejects_bad_nodes(self):
         with pytest.raises(ValueError):
             dims_by_quadrature(2, 4, 0)
+
+
+class TestPackedNodes:
+    """The packed rule against the same rule with listed nodes and terms:
+    every float operation in the same order, so equal to the last bit."""
+
+    @pytest.mark.parametrize("d", range(14))
+    def test_rows_and_bounds_equal_the_listed_rule(self, d):
+        for nodes in (1, 2, 3, 5, 31, 256, 257, 4097):
+            for max_m in (0, 1, 7, 20):
+                q = dims_by_quadrature(d, max_m, nodes)
+                assert (q.dims, q.roundoff) == listed_folded_quadrature(d, max_m, nodes), \
+                    (nodes, max_m)
+
+    @pytest.mark.parametrize("d, first", [(1, 1025), (2, 647), (99, 155)])
+    def test_same_first_overflow(self, d, first):
+        q = dims_by_quadrature(d, first - 1, 256)
+        assert (q.dims, q.roundoff) == listed_folded_quadrature(d, first - 1, 256)
+        with pytest.raises(ValueError) as listed:
+            listed_folded_quadrature(d, first, 256)
+        with pytest.raises(ValueError) as packed:
+            dims_by_quadrature(d, first, 256)
+        assert str(packed.value) == str(listed.value)
 
 
 class TestMirrorFold:

@@ -69,7 +69,7 @@ def run_main(tmp_path, argv, probe: str):
     (["dim", "--d", "4", "--m", "6"], ["partitions"]),
     (["moments", "--rule", "semicircle", "--n", "6"], ["_rational", "freeprob"]),
     (["hilbert", "--d", "2", "--max-m", "4", "--method", "chebyshev"], ["hilbert"]),
-    (["hilbert", "--d", "2", "--max-m", "4"], ["hilbert", "partitions"]),
+    (["hilbert", "--d", "2", "--max-m", "4"], ["hilbert"]),
     (["rewrite", "EXPRESSION"], ["_rational", "brackets", "partitions"]),
     (["basis", "--d", "2", "--m", "4"], ["_rational", "brackets", "partitions", "symbolic"]),
     (["verify", "--d", "2", "--m", "4", "--witnesses", "1"],
