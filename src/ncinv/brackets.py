@@ -28,9 +28,20 @@ class VanishingBracketError(ValueError):
     """Raised for a vanishing bracket pairing two slots of one symbol."""
 
 
-def _canonical(chords) -> tuple[tuple[int, int], ...]:
-    """Chords with each pair increasing, sorted by first slot."""
-    return tuple(sorted(tuple(sorted(pair)) for pair in chords))
+def _chords(m: int, d: int, chords) -> tuple[tuple[int, int], ...]:
+    """``chords`` with each pair increasing, sorted by first slot; raises
+    unless they form a perfect matching of [md] with no chord inside one
+    symbol.  The length test comes first, so a huge m builds no range."""
+    chords = tuple(sorted(tuple(sorted(pair)) for pair in chords))
+    n = m * d
+    support = sorted(x for pair in chords for x in pair)
+    if (len(support) != n or support != list(range(1, n + 1))
+            or any(len(pair) != 2 for pair in chords)):
+        raise ValueError(f"chords do not form a perfect matching of 1..{n}")
+    for p, q in chords:
+        if window_of(p, d) == window_of(q, d):
+            raise VanishingBracketError(f"vanishing bracket: slots {p},{q} belong to one symbol")
+    return chords
 
 
 def _count(chords) -> int:
@@ -49,17 +60,7 @@ class BracketMonomial(Value):
             raise ValueError("m and d must be nonnegative")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        chords = _canonical(chords)
-        n = m * d
-        support = sorted(x for pair in chords for x in pair)
-        if len(support) != n or support != list(range(1, n + 1)):
-            raise ValueError(f"chords do not form a perfect matching of 1..{n}")
-        for p, q in chords:
-            if window_of(p, d) == window_of(q, d):
-                raise VanishingBracketError(
-                    f"vanishing bracket: slots {p},{q} belong to one symbol"
-                )
-        self._store(m, d, chords, sign)
+        self._store(m, d, _chords(m, d, chords), sign)
 
     def crossing_count(self) -> int:
         return _count(self.chords)
@@ -83,19 +84,21 @@ def from_pairs(m: int, d: int, pairs) -> BracketMonomial:
 class BracketExpression(Value):
     """Exact rational combination of canonical bracket monomials.
 
-    Keys of ``terms`` are chord tuples, canonicalised on construction like
-    ``BracketMonomial.chords`` (each pair increasing, pairs sorted); the
-    coefficients of keys that agree once canonical are summed.  Monomial
-    signs live in the coefficients.  Zero coefficients are dropped.
+    Keys of ``terms`` are chord tuples, checked and canonicalised on
+    construction like ``BracketMonomial.chords`` (each pair increasing, pairs
+    sorted); the coefficients of keys that agree once canonical are summed.
+    Monomial signs live in the coefficients.  Zero coefficients are dropped.
     """
 
     _fields = ("m", "d", "terms")
     __hash__ = None  # terms is a dict
 
     def __init__(self, m: int, d: int, terms=None):
+        if m < 0 or d < 0:
+            raise ValueError("m and d must be nonnegative")
         summed = {}
         for chords, coeff in (terms or {}).items():
-            key = _canonical(chords)
+            key = _chords(m, d, chords)
             summed[key] = summed.get(key, 0) + exact(coeff, "coefficient")
         self._store(m, d, {chords: c for chords, c in summed.items() if c})
 
@@ -136,8 +139,6 @@ class BracketExpression(Value):
     def from_json_dict(cls, data) -> "BracketExpression":
         """Parse the JSON form; a missing or mistyped field raises ValueError."""
         m, d = json_int(json_field(data, "m"), "m"), json_int(json_field(data, "d"), "d")
-        if m < 0 or d < 0:
-            raise ValueError("m and d must be nonnegative")
         entries = json_list(data, "terms")
         terms = {}
         for entry in entries:

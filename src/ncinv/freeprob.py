@@ -6,8 +6,7 @@ No sum over NC(n) is listed term by term: each is split by the block that
 holds its first point, whose gaps are independent smaller sums.  That gives
 an O(n^3) recursion for the moment-cumulant relation and an O(n^3 m) one for
 ``psi_mixed_moment``, where the interval ("at most one element per group")
-constraint decides which points can follow in a block.  That interval sum
-is ``partitions._interval_sums``.
+constraint decides which points can follow in a block.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ class MomentSequence(Value):
         if not values or values[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
         self._store(values)
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
 
     def __getitem__(self, k: int) -> int | Fraction:
         return self.values[k]
@@ -101,8 +96,10 @@ def _first_block_sums(moments: list, cumulants: list, n: int):
     moments.  M(z) = sum_j m_j z^j is read from ``moments`` and c_s from
     ``cumulants[s - 1]``; the caller appends m_(k-1) and c_(k-1) before asking
     for the k-th sum.  powers[s][j] = [z^j] M^s grows one entry per power and
-    step, which is O(n^3) exact operations in all.
+    step, which is O(n^3) exact operations in all.  Raises for n < 0.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     powers: list[list] = [[]]
     for k in range(1, n + 1):
         powers.append([])
@@ -136,7 +133,7 @@ def moments_from_cumulants(c: CumulantSequence, n: int) -> MomentSequence:
 def cumulants_from_moments(m: MomentSequence, n: int) -> CumulantSequence:
     """Moebius inversion of the moment-cumulant relation up to order n,
     solved triangularly: c_k = m_k - (the first-block sum over s < k)."""
-    if m.order < n:
+    if len(m.values) <= n:
         raise ValueError(f"need moments up to order {n}")
     cums: list = []
     for k, rest in enumerate(_first_block_sums(m.values, cums, n), start=1):
@@ -150,18 +147,44 @@ def psi_mixed_moment(k, c: CumulantSequence) -> int | Fraction:
     the sum over sigma in NC(k_1+...+k_m) whose meet with the interval
     partition of the k_i is discrete, of prod over blocks of c_|B|.
 
-    Summed by the interval sum ``partitions._interval_sums``, split by the
-    block that holds the first point of a range.  A block takes at most one
-    point per window, so only c_1..c_m enter.  O(n^3 m) exact operations for
-    n points; the result is an int when the cumulants c_1..c_m are.
+    Summed by the block that holds the first point of a range: its next
+    element lies in a strictly later window, and every gap between its
+    elements is an independent range.  A block takes at most one point per
+    window, so only c_1..c_m enter, and none grows past the last s with
+    c_s nonzero.  O(n^3 m) exact operations for n = k_1+...+k_m points; the
+    result is an int when the cumulants c_1..c_m are.
     """
-    from .partitions import _interval_sums
-
     sizes = tuple(k)
     if any(isinstance(v, bool) or not isinstance(v, int) or v <= 0 for v in sizes):
         raise ValueError(f"group sizes must be positive integers, got {reprlib.repr(sizes)}")
     weight = [0] + [c[s] for s in range(1, len(sizes) + 1)]
-    return _interval_sums(sizes, weight)[sum(sizes) + 1]
+    top = max((s for s, w in enumerate(weight) if w), default=0)
+    n = sum(sizes)
+    # x -> (the number of windows up to x's, the first point of the next)
+    place, end = {}, 1
+    for i, size in enumerate(sizes, start=1):
+        end += size
+        place.update((x, (i, end)) for x in range(end - size, end))
+    # ranges[lo][hi]: the sum over the admissible partitions of lo..hi-1
+    ranges = [[0] * (n + 2) for _ in range(n + 2)]
+    for hi in range(1, n + 2):
+        ranges[hi][hi] = 1
+        # grow[s][b]: for a block whose s-th and so far last element is b,
+        # the sum over its ways to go on inside b+1..hi-1, gaps included
+        grow = [[0] * (hi + 1) for _ in range(top + 2)]
+        for b in range(hi - 1, 0, -1):
+            windows, later = place[b]
+            gaps = ranges[b + 1]
+            for s in range(min(top, windows), 0, -1):
+                total = weight[s] * gaps[hi]
+                if s < top:  # no block grows past top elements
+                    longer = grow[s + 1]
+                    for x in range(later, hi):
+                        if longer[x]:
+                            total += gaps[x] * longer[x]
+                grow[s][b] = total
+            ranges[b][hi] = grow[1][b]
+    return ranges[1][n + 1]
 
 
 def psi_orthogonality(m: int, n: int, c: CumulantSequence) -> int | Fraction:

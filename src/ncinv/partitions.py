@@ -10,6 +10,7 @@ pairings; NC(n) is its thinning at d = 1 (see ``enumerate_nc``).
 
 from __future__ import annotations
 
+import reprlib
 from functools import cached_property
 from math import comb
 
@@ -43,7 +44,7 @@ class SetPartition(Value):
         raw.sort(key=lambda block: block[0])
         support = sorted(x for block in raw for x in block)
         if len(support) != n or support != list(range(1, n + 1)):
-            raise ValueError(f"blocks do not partition 1..{n}: {raw!r}")
+            raise ValueError(f"blocks do not partition 1..{n}: {reprlib.repr(raw)}")
         self._store(n, tuple(raw))
 
     def __eq__(self, other: object) -> bool:  # a PairPartition is a SetPartition
@@ -279,46 +280,6 @@ def count_m_partite_nc_pairings(m: int, d: int) -> int:
                     step[height] = step.get(height, 0) + count
         ways = step
     return ways.get(0, 0)
-
-
-def _interval_sums(sizes, weight) -> list:
-    """Entry hi is the sum, over the noncrossing partitions of 1..hi-1 that
-    take at most one point from each window of the interval partition by
-    ``sizes``, of the product of weight[|B|] over blocks B.
-
-    Summed by the block that holds the first point of a range: its next
-    element lies in a strictly later window, and every gap between its
-    elements is an independent range.  A block takes at most one point per
-    window, and none grows past the last size with a nonzero weight.  The
-    weights may be ints or Fractions; O(n^3 top) operations for n points.
-    """
-    top = max((s for s, w in enumerate(weight) if w), default=0)
-    n = sum(sizes)
-    # x -> (the number of windows up to x's, the first point of the next)
-    place, end = {}, 1
-    for i, size in enumerate(sizes, start=1):
-        end += size
-        place.update((x, (i, end)) for x in range(end - size, end))
-    # ranges[lo][hi]: the sum over the admissible partitions of lo..hi-1
-    ranges = [[0] * (n + 2) for _ in range(n + 2)]
-    for hi in range(1, n + 2):
-        ranges[hi][hi] = 1
-        # grow[s][b]: for a block whose s-th and so far last element is b,
-        # the sum over its ways to go on inside b+1..hi-1, gaps included
-        grow = [[0] * (hi + 1) for _ in range(top + 2)]
-        for b in range(hi - 1, 0, -1):
-            windows, later = place[b]
-            gaps = ranges[b + 1]
-            for s in range(min(top, windows), 0, -1):
-                total = weight[s] * gaps[hi]
-                if s < top:  # no block grows past top elements
-                    longer = grow[s + 1]
-                    for x in range(later, hi):
-                        if longer[x]:
-                            total += gaps[x] * longer[x]
-                grow[s][b] = total
-            ranges[b][hi] = grow[1][b]
-    return ranges[1]
 
 
 def leq(p: SetPartition, q: SetPartition) -> bool:

@@ -212,6 +212,22 @@ class TestToNoncrossing:
         e = BracketExpression(4, 1, {((2, 4), (1, 3)): 1, ((1, 3), (2, 4)): -1})
         assert e.terms == {}
 
+    @pytest.mark.parametrize("m, d, terms, error, message", [
+        (2, 2, {((1, 2), (3, 4)): 1}, VanishingBracketError, "slots 1,2 belong to one symbol"),
+        (2, 2, {((1, 3), (1, 4)): 1}, ValueError, r"perfect matching of 1\.\.4"),
+        (3, 2, {((1, 3), (2, 4)): 1}, ValueError, r"perfect matching of 1\.\.6"),
+        (4, 1, {((1, 2, 3), (4,)): 1}, ValueError, r"perfect matching of 1\.\.4"),
+        (-1, 2, {}, ValueError, "m and d must be nonnegative"),
+        (2, -1, None, ValueError, "m and d must be nonnegative"),
+        (2, 2, {((1, 2), (3, 4)): 0}, VanishingBracketError, "slots 1,2 belong to one symbol"),
+    ], ids=["vanishing", "not-a-matching", "wrong-ground-set", "not-pairs", "negative-m",
+            "negative-d", "zero-coefficient"])
+    def test_keys_are_checked_like_monomials(self, m, d, terms, error, message):
+        # A vanishing key once passed, and to_noncrossing kept it as a
+        # nonzero normal form.
+        with pytest.raises(error, match=message):
+            BracketExpression(m, d, terms)
+
     def test_linear_combination(self):
         e = BracketExpression(
             4, 1,

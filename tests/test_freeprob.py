@@ -132,7 +132,24 @@ class TestMoments:
             assert ms[k] == lam**k
 
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_order_refused(self, n):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            moments_from_cumulants(SEMI, n)
+
+
 class TestInversion:
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_order_refused(self, n):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            cumulants_from_moments(moments_from_cumulants(SEMI, 4), n)
+
+    def test_needs_moments_up_to_the_order(self):
+        ms = moments_from_cumulants(SEMI, 4)
+        assert cumulants_from_moments(ms, 4).table == (0, 1, 0, 0)
+        with pytest.raises(ValueError, match="need moments up to order 5"):
+            cumulants_from_moments(ms, 5)
+
     def test_semicircle_recovered(self):
         ms = moments_from_cumulants(SEMI, 8)
         c = cumulants_from_moments(ms, 8)

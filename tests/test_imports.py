@@ -105,6 +105,14 @@ def test_no_subcommand_loads_dataclasses_and_only_json_io_loads_json(tmp_path, a
     assert run_main(tmp_path, argv, probe) == [0, ["json"] if reads_json else []]
 
 
+def test_psi_mixed_moment_loads_no_partitions():
+    code = ("import json, sys\n"
+            "from ncinv.freeprob import CumulantSequence, psi_mixed_moment\n"
+            "value = psi_mixed_moment((2, 2), CumulantSequence.semicircle())\n"
+            f"print(json.dumps([value, {LOADED}]))")
+    assert fresh(code) == [1, ["ncinv._rational", "ncinv._value", "ncinv.freeprob"]]
+
+
 def test_importtime_lists_the_layer_a_subcommand_loads():
     # Layers loaded through importlib.import_module would not be listed.
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "ncinv.cli", "hilbert",

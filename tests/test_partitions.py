@@ -49,6 +49,11 @@ class TestSetPartition:
         with pytest.raises(ValueError):
             SetPartition(2, ((1, 2), ()))
 
+    def test_cover_message_is_bounded(self):
+        with pytest.raises(ValueError, match=r"do not partition 1\.\.3: \[\(1,\), ") as info:
+            SetPartition(3, tuple((x,) for x in range(1, 3000)))
+        assert len(str(info.value)) < 200
+
     def test_pair_partition_validation(self):
         with pytest.raises(ValueError):
             PairPartition(3, ((1, 2), (3,)))
