@@ -223,8 +223,6 @@ class TestToNoncrossing:
     ], ids=["vanishing", "not-a-matching", "wrong-ground-set", "not-pairs", "negative-m",
             "negative-d", "zero-coefficient"])
     def test_keys_are_checked_like_monomials(self, m, d, terms, error, message):
-        # A vanishing key once passed, and to_noncrossing kept it as a
-        # nonzero normal form.
         with pytest.raises(error, match=message):
             BracketExpression(m, d, terms)
 

@@ -131,7 +131,6 @@ class TestMoments:
         for k in range(7):
             assert ms[k] == lam**k
 
-
     @pytest.mark.parametrize("n", [-1, -3])
     def test_negative_order_refused(self, n):
         with pytest.raises(ValueError, match="n must be nonnegative"):
