@@ -16,9 +16,9 @@ _EXPORTS = {
     "hilbert": ("DimensionSeries", "MethodComparison", "chebyshev_poly", "compare_methods",
                 "dims_by_chebyshev", "dims_by_enumeration", "dims_by_quadrature"),
     "partitions": ("PairPartition", "SetPartition", "catalan",
-                   "count_m_partite_nc_pairings", "enumerate_m_partite_nc_pairings",
-                   "enumerate_nc", "is_m_partite", "is_noncrossing", "leq", "nc_moebius",
-                   "one_partition", "thicken", "unthicken", "zero_partition"),
+                   "enumerate_m_partite_nc_pairings", "enumerate_nc", "is_m_partite",
+                   "is_noncrossing", "leq", "nc_moebius", "one_partition", "thicken",
+                   "unthicken", "zero_partition"),
     "symbolic": ("NcPolynomial", "iter_noncrossing_basis", "leading_term",
                  "noncrossing_basis", "predicted_leading_word", "restitution"),
 }

@@ -104,12 +104,12 @@ class BracketExpression(Value):
 
     @classmethod
     def from_monomial(cls, b: BracketMonomial) -> "BracketExpression":
-        return cls(b.m, b.d, {b.chords: b.sign})
+        return cls._trusted(b.m, b.d, {b.chords: b.sign})
 
     def monomials(self):
         """Iterate (BracketMonomial, coefficient) pairs, deterministically."""
         for chords in sorted(self.terms):
-            yield BracketMonomial(self.m, self.d, chords, 1), self.terms[chords]
+            yield BracketMonomial._trusted(self.m, self.d, chords, 1), self.terms[chords]
 
     def is_noncrossing(self) -> bool:
         return all(next(crossing_quads(ch), None) is None for ch in self.terms)
@@ -147,13 +147,13 @@ class BracketExpression(Value):
                 isinstance(pair, list) and len(pair) == 2 for pair in chords
             ):
                 raise ValueError("chords must be a list of slot pairs [p, q]")
-            pairs = [tuple(json_int(x, "chord slot") for x in pair) for pair in chords]
+            pairs = tuple(tuple(json_int(x, "chord slot") for x in pair) for pair in chords)
             sign = json_int(entry.get("sign", 1), "sign")
             if sign not in (1, -1):
                 raise ValueError(f"sign must be 1 or -1, got {reprlib.repr(sign)}")
-            mono = from_pairs(m, d, pairs)
-            coeff = json_rational(json_field(entry, "coeff"), "coefficient") * sign * mono.sign
-            terms[mono.chords] = terms.get(mono.chords, 0) + coeff
+            coeff = json_rational(json_field(entry, "coeff"), "coefficient") * sign
+            # Each pair in decreasing orientation flips the sign, as in from_pairs.
+            terms[pairs] = terms.get(pairs, 0) + coeff * (-1) ** sum(p > q for p, q in pairs)
         return cls(m, d, terms)
 
 
@@ -188,8 +188,8 @@ def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
     quad = next(crossing_quads(b.chords), None)
     if quad is None:
         return None
-    resolutions = _resolve_crossing(b.m, b.d, b.chords, quad, _count(b.chords))
-    return BracketExpression(b.m, b.d, {resolved: b.sign for resolved, _ in resolutions})
+    resolved = _resolve_crossing(b.m, b.d, b.chords, quad, _count(b.chords))
+    return BracketExpression._trusted(b.m, b.d, {chords: b.sign for chords, _ in resolved})
 
 
 def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> BracketExpression:
@@ -218,4 +218,4 @@ def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> 
             for resolved, left in _resolve_crossing(e.m, e.d, chords, quad, before):
                 level = levels[left]
                 level[resolved] = level.get(resolved, 0) + coeff
-    return BracketExpression(e.m, e.d, levels[0])
+    return BracketExpression._trusted(e.m, e.d, {ch: c for ch, c in levels[0].items() if c})

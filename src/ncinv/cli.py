@@ -110,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dim(args) -> int:
-    from .partitions import count_m_partite_nc_pairings
+    from .hilbert import dims_by_enumeration
 
-    print(count_m_partite_nc_pairings(args.m, args.d))
+    print(dims_by_enumeration(args.d, args.m).dims[args.m])
     return 0
 
 

@@ -253,35 +253,6 @@ def enumerate_m_partite_nc_pairings(m: int, d: int) -> list[PairPartition]:
     return [PairPartition(m * d, ch) for ch in _iter_nc_matchings(m * d, d)]
 
 
-def count_m_partite_nc_pairings(m: int, d: int) -> int:
-    """len(enumerate_m_partite_nc_pairings(m, d)), by a stack-height transfer.
-
-    Scanning [md] left to right, each position opens a chord or closes the
-    most recent open one.  A chord may not close against an opener of its own
-    window, so each window first closes c <= min(h, d) chords opened in
-    earlier windows and then opens d - c, taking the stack from height h to
-    h + d - 2c.  The count is the number of height paths from 0 back to 0
-    over m windows: O(m^2 d^2) exact integer additions.  It is 1 when m or d
-    is 0 and 0 when md is odd.
-
-    >>> [count_m_partite_nc_pairings(m, 2) for m in range(9)]
-    [1, 0, 1, 1, 3, 6, 15, 36, 91]
-    """
-    if m < 0 or d < 0:
-        raise ValueError("m and d must be nonnegative")
-    ways = {0: 1}
-    for window in range(m):
-        room = (m - window - 1) * d  # openers the later windows can still close
-        step: dict[int, int] = {}
-        for h, count in ways.items():
-            for c in range(min(h, d) + 1):
-                height = h + d - 2 * c
-                if height <= room:
-                    step[height] = step.get(height, 0) + count
-        ways = step
-    return ways.get(0, 0)
-
-
 def leq(p: SetPartition, q: SetPartition) -> bool:
     """Refinement order: every block of p lies inside some block of q."""
     if p.n != q.n:

@@ -297,6 +297,33 @@ class TestExpressionJson:
             data = {"m": 2, "d": 1, "terms": [{"coeff": coeff, "chords": [[1, 2]]}]}
             assert BracketExpression.from_json_dict(data).terms == {((1, 2),): Fraction(want)}
 
+    def test_each_key_is_checked_once(self, monkeypatch):
+        # The reader leaves the chord rule to BracketExpression, and what the
+        # package builds from checked keys is not checked again.
+        checked = brackets._chords
+        calls = []
+
+        def counting(m, d, chords):
+            calls.append(chords)
+            return checked(m, d, chords)
+
+        monkeypatch.setattr(brackets, "_chords", counting)
+        data = {"m": 4, "d": 1, "terms": [
+            {"coeff": "1", "chords": [[1, 3], [2, 4]], "sign": 1},
+            {"coeff": "2", "chords": [[4, 2], [3, 1]], "sign": 1},
+            {"coeff": "1/2", "chords": [[2, 1], [3, 4]], "sign": -1},
+        ]}
+        e = BracketExpression.from_json_dict(data)
+        assert e.terms == {((1, 3), (2, 4)): 3, ((1, 2), (3, 4)): Fraction(1, 2)}
+        assert len(calls) == len(data["terms"])
+        b = BracketMonomial(4, 1, ((1, 3), (2, 4)), -1)
+        calls.clear()
+        to_noncrossing(e)
+        pluecker_step(b)
+        BracketExpression.from_monomial(b)
+        list(e.monomials())
+        assert calls == []
+
     def test_huge_m_rejected_without_building_the_ground_set(self):
         data = {"m": 10 ** 15, "d": 10 ** 15,
                 "terms": [{"coeff": "1", "chords": [[1, 2]], "sign": 1}]}

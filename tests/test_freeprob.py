@@ -15,9 +15,9 @@ from ncinv.freeprob import (
     psi_mixed_moment,
     psi_orthogonality,
 )
+from ncinv.hilbert import dims_by_enumeration
 from ncinv.partitions import (
     catalan,
-    count_m_partite_nc_pairings,
     enumerate_nc,
     nc_moebius,
     one_partition,
@@ -237,7 +237,7 @@ class TestPsiMoments:
         for md in (2, 4, 6, 8, 10, 12):
             for d in [x for x in range(1, md + 1) if md % x == 0]:
                 m = md // d
-                assert psi_mixed_moment((d,) * m, SEMI) == count_m_partite_nc_pairings(m, d)
+                assert psi_mixed_moment((d,) * m, SEMI) == dims_by_enumeration(d, m).dims[m]
 
     def test_empty_product(self):
         assert psi_mixed_moment((), SEMI) == 1
@@ -260,7 +260,7 @@ class TestPsiMoments:
 
     @pytest.mark.parametrize("sizes, want", [
         ((4,) * 5, 16),
-        ((3,) * 8, count_m_partite_nc_pairings(8, 3)),
+        ((3,) * 8, dims_by_enumeration(3, 8).dims[8]),
     ])
     def test_large_fast(self, sizes, want):
         start = time.perf_counter()

@@ -24,9 +24,9 @@ EXPORTS = {
     "hilbert": ["DimensionSeries", "MethodComparison", "chebyshev_poly", "compare_methods",
                 "dims_by_chebyshev", "dims_by_enumeration", "dims_by_quadrature"],
     "partitions": ["PairPartition", "SetPartition", "catalan",
-                   "count_m_partite_nc_pairings", "enumerate_m_partite_nc_pairings",
-                   "enumerate_nc", "is_m_partite", "is_noncrossing", "leq", "nc_moebius",
-                   "one_partition", "thicken", "unthicken", "zero_partition"],
+                   "enumerate_m_partite_nc_pairings", "enumerate_nc", "is_m_partite",
+                   "is_noncrossing", "leq", "nc_moebius", "one_partition", "thicken",
+                   "unthicken", "zero_partition"],
     "symbolic": ["NcPolynomial", "iter_noncrossing_basis", "leading_term",
                  "noncrossing_basis", "predicted_leading_word", "restitution"],
 }
@@ -66,7 +66,7 @@ def run_main(tmp_path, argv, probe: str):
 
 
 @pytest.mark.parametrize("argv, layers", [
-    (["dim", "--d", "4", "--m", "6"], ["partitions"]),
+    (["dim", "--d", "4", "--m", "6"], ["hilbert"]),
     (["moments", "--rule", "semicircle", "--n", "6"], ["_rational", "freeprob"]),
     (["hilbert", "--d", "2", "--max-m", "4", "--method", "chebyshev"], ["hilbert"]),
     (["hilbert", "--d", "2", "--max-m", "4"], ["hilbert"]),

@@ -10,7 +10,6 @@ from ncinv.partitions import (
     _partners,
     _thin,
     catalan,
-    count_m_partite_nc_pairings,
     enumerate_m_partite_nc_pairings,
     enumerate_nc,
     is_m_partite,
@@ -23,7 +22,7 @@ from ncinv.partitions import (
     zero_partition,
 )
 
-from ncinv.hilbert import dims_by_chebyshev
+from ncinv.hilbert import dims_by_chebyshev, dims_by_enumeration
 
 from _oracles import (
     all_perfect_matchings,
@@ -181,7 +180,7 @@ class TestMPartite:
             )
             ours = [p.blocks for p in enumerate_m_partite_nc_pairings(m, d)]
             assert ours == brute
-            assert count_m_partite_nc_pairings(m, d) == len(brute)
+            assert dims_by_enumeration(d, m).dims[m] == len(brute)
 
     def test_results_are_valid(self):
         for m, d in [(4, 2), (2, 4), (6, 1), (3, 3)]:
@@ -249,44 +248,53 @@ class TestPairingWalk:
 
 
 class TestTransferCount:
-    """count_m_partite_nc_pairings counts by stack height; every other route
+    """hilbert.dims_by_enumeration counts by stack height; every other route
     here visits pairings or expands polynomials."""
 
     def test_matches_enumeration(self):
         for d in range(0, 21):
             for m in range(0, 21):
                 if m * d <= 20:
-                    assert count_m_partite_nc_pairings(m, d) == len(
+                    assert dims_by_enumeration(d, m).dims[m] == len(
                         enumerate_m_partite_nc_pairings(m, d)
                     ), (m, d)
 
     def test_matches_chebyshev(self):
         for d in range(0, 7):
-            counts = tuple(count_m_partite_nc_pairings(m, d) for m in range(61))
+            counts = tuple(dims_by_enumeration(d, m).dims[m] for m in range(61))
             assert counts == dims_by_chebyshev(d, 60).dims, d
 
     def test_catalan_closed_form(self):
         for m in range(0, 41):
             want = catalan(m // 2) if m % 2 == 0 else 0
-            assert count_m_partite_nc_pairings(m, 1) == want
+            assert dims_by_enumeration(1, m).dims[m] == want
 
     def test_riordan_closed_form(self):
         # Riordan numbers: the binomial transform sum_k (-1)^(m-k) C(m,k) C_k.
         for m in range(0, 41):
             want = sum((-1) ** (m - k) * comb(m, k) * catalan(k) for k in range(m + 1))
-            assert count_m_partite_nc_pairings(m, 2) == want
+            assert dims_by_enumeration(2, m).dims[m] == want
 
     def test_edge_cases(self):
-        assert all(count_m_partite_nc_pairings(0, d) == 1 for d in range(8))
-        assert all(count_m_partite_nc_pairings(m, 0) == 1 for m in range(8))
+        assert all(dims_by_enumeration(d, 0).dims[0] == 1 for d in range(8))
+        assert all(dims_by_enumeration(0, m).dims[m] == 1 for m in range(8))
         for m, d in [(1, 1), (3, 1), (1, 3), (3, 3), (5, 7), (101, 5)]:
-            assert count_m_partite_nc_pairings(m, d) == 0
+            assert dims_by_enumeration(d, m).dims[m] == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            count_m_partite_nc_pairings(-1, 2)
-        with pytest.raises(ValueError):
-            count_m_partite_nc_pairings(2, -1)
+        with pytest.raises(ValueError, match="d and max_m must be nonnegative"):
+            dims_by_enumeration(2, -1)
+        with pytest.raises(ValueError, match="d and max_m must be nonnegative"):
+            dims_by_enumeration(-1, 2)
+
+    def test_a_row_is_a_prefix_of_every_longer_one(self):
+        # The pruning counts room against max_m; it must drop no path that
+        # returns to 0 at an earlier window.
+        for d in range(7):
+            for big in range(13):
+                whole = dims_by_enumeration(d, big).dims
+                for m in range(big + 1):
+                    assert dims_by_enumeration(d, m).dims == whole[:m + 1], (d, m, big)
 
     def test_enumeration_rejects_negative_like_the_count(self):
         # With both negative, md is a valid size: (-4, -1) is [4], (-2, -1) is [2].
