@@ -1,27 +1,125 @@
-"""Signed products of pair brackets and crossing-removal rewriting.
+"""Chord rules on [md], and signed bracket products with crossing removal.
 
 A monomial is a product of brackets <y_i y_j>, one slot pair per chord of a
 pair partition of [md] (slot (i-1)d+k is the k-th occurrence of the symbol
-y_i, so its symbol is ``partitions.window_of(slot, d)``).  Chords are stored
-with each pair increasing and sorted, and the antisymmetry sign folded into
-a single +-1 on the monomial, so the rewriting loop never touches
-orientation.  Expressions keep exact coefficients, ints or Fractions, on
-the same canonical chord tuples.  Crossings are found and counted by
-``partitions.crossing_quads`` alone.
+y_i, so its symbol is ``window_of(slot, d)``).  Chords are stored with each
+pair increasing and sorted, and the antisymmetry sign folded into a single
++-1 on the monomial, so the rewriting loop never touches orientation.
+Expressions keep exact coefficients, ints or Fractions, on the same
+canonical chord tuples.  Crossings are found and counted by
+``crossing_quads`` alone, and ``_iter_nc_matchings`` walks the noncrossing
+pairings with no chord inside a window (the m-partite ones).
 
 Rewriting replaces a crossing chord pair by the disjoint plus the nested
 resolution, by induction on crossing number: the terms of highest count are
 resolved first, each pairing once, and each resolution is recounted; a count
 that does not drop raises, also under ``python -O``.
+
+The ``json_*`` readers check the fields of the one JSON document a command
+reads, the bracket expression file of ``rewrite``: a missing field or a
+value of the wrong type is a ValueError with a message.  JSON floats are
+refused, since they are not exact.  Error messages quote the offending
+value through ``reprlib.repr``, so a huge input is not echoed in full.
 """
 
 from __future__ import annotations
 
 import reprlib
+from fractions import Fraction
 
-from ._rational import exact, json_field, json_int, json_list, json_rational
+from ._rational import exact
 from ._value import Value
-from .partitions import crossing_quads, window_of
+
+
+def window_of(x: int, d: int) -> int:
+    """0-based index of the window {kd+1, ..., (k+1)d} holding position x."""
+    return (x - 1) // d
+
+
+def crossing_quads(chords):
+    """Yield every quadruple (i, i', j, j') with i < i' < j < j' such that
+    {i, j} and {i', j'} are chords, in lexicographic order.
+
+    ``chords`` must be increasing pairs sorted by their first element.  The
+    order is lexicographic when no two chords share an endpoint (a matching).
+    """
+    for k, (i, j) in enumerate(chords):
+        for ii, jj in chords[k + 1:]:
+            if ii >= j:
+                break
+            if i < ii and j < jj:
+                yield i, ii, j, jj
+
+
+def _partners(u: int, end: int, d: int) -> list[int]:
+    """The partners j of u in another window that leave u+1..j-1 and j+1..end
+    fillable, in increasing order; the gap u..end must itself be fillable.
+
+    A run of points is fillable -- has a noncrossing perfect matching with
+    no chord inside a window -- iff its count L is even and no window holds
+    more than L/2 of it.  Necessity: every point needs a partner outside
+    its window.  Sufficiency, by induction on L: the windows cut the points
+    into runs; match the two adjacent points across an edge of a largest
+    run R.  That chord crosses nothing, and the rule holds on the L - 2
+    points left: R and its neighbour each lose one, and any other run T has
+    2|T| <= |T| + |R| <= L - 1.
+
+    So an even run of 2d points or more is fillable, and a shorter nonempty
+    one iff it straddles one window edge evenly.  With j - u odd both runs
+    are even.  u+1..j-1 is fillable iff j > u + 2d or j is ``low``, the
+    mirror of u across its window's right edge; j+1..end iff j <= end - 2d,
+    j = end, or j is ``high``, below end by twice end's place in its window.
+    """
+    low, high = 2 * (window_of(u, d) + 1) * d + 1 - u, 2 * window_of(end, d) * d - end
+    edges = {j for j in (low, high, end) if u < j <= end and (j == low or j > u + 2 * d)
+             and (j in (high, end) or j <= end - 2 * d)}
+    return sorted(edges.union(range(u + 2 * d + 1, end - 2 * d + 1, 2)))
+
+
+def _iter_nc_matchings(n: int, d: int):
+    """Yield, in sorted order, the chord tuples of the noncrossing perfect
+    matchings of [n] with no chord inside a window of d consecutive points.
+
+    The least unmatched point u is matched with each admissible partner j in
+    increasing order, then the gap inside (u, j) is filled, then the rest of
+    u's gap.  j is admissible when it is in another window than u and both
+    gaps it leaves are fillable, so the walk has no dead ends, and as u is
+    the least open point the tuples come out sorted (Knuth, TAOCP 4A,
+    7.2.1.6).  Each gap's partner list is built on its first visit and kept,
+    so memory grows with the gaps visited, not with n^2.  The walk is one
+    loop over an explicit path and undoes its choices through a trail.
+    """
+    if n % 2 or 0 < n < 2 * d:  # 1..n is fillable, by the rule in ``_partners``
+        return
+    lists: list[dict] = [{} for _ in range(n + 1)]  # [u][end]
+    chords: list[tuple[int, int]] = []
+    trail = []  # per chord: its gap's end, the gaps waiting, its list, index
+    u, end, waiting, k = 1, n, None, 0  # waiting: (start, end, rest) or None
+    while True:
+        if u > end and waiting:
+            u, end, waiting = waiting
+        if u > end:
+            yield tuple(chords)
+            # Undo chords until one has a partner left to try.
+            while True:
+                if not trail:
+                    return
+                u = chords.pop()[0]
+                end, waiting, partners, k = trail.pop()
+                k += 1
+                if k < len(partners):
+                    break
+        else:  # a new gap
+            try:
+                partners = lists[u][end]
+            except KeyError:
+                partners = lists[u][end] = _partners(u, end, d)
+        j = partners[k]
+        chords.append((u, j))
+        trail.append((end, waiting, partners, k))
+        if j < end:
+            waiting = (j + 1, end, waiting)
+        u, end, k = u + 1, j - 1, 0
 
 
 class VanishingBracketError(ValueError):
@@ -79,6 +177,38 @@ def from_pairs(m: int, d: int, pairs) -> BracketMonomial:
     flips = sum(1 for p, q in pairs if p > q)
     sign = -1 if flips % 2 else 1
     return BracketMonomial(m, d, tuple(pairs), sign)
+
+
+def json_field(data, key: str):
+    """``data[key]``; ValueError unless data is a JSON object holding key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with a {key!r} field")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
+
+
+def json_list(data, key: str) -> list:
+    """``data[key]``, which must be a JSON array."""
+    value = json_field(data, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list")
+    return value
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer; booleans and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+def json_rational(value, what: str) -> int | Fraction:
+    """A JSON integer, or a string read by ``parse_rational``."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f'{what} must be an integer or a string such as "2/3", '
+                         f"got {reprlib.repr(value)}")
+    return exact(value, what)
 
 
 class BracketExpression(Value):
@@ -198,24 +328,23 @@ def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> 
     strategy "lex" resolves the smallest crossing each time; "random" picks a
     uniformly random one from ``rng`` (used to check that the normal form does
     not depend on the choice).  ``levels[k]`` holds the terms with k
-    crossings.  The top level is popped and each term on it resolved once, on
-    its merged coefficient; the recount puts every resolution on a strictly
-    lower level.  What is left, ``levels[0]``, is the normal form.
+    crossings; each input term is counted once.  From the top down, a level
+    is popped and each term on it resolved once, on its merged coefficient,
+    the recount putting each resolution lower.  ``levels[0]`` is the normal form.
     """
     if strategy not in ("lex", "random") or strategy == "random" and rng is None:
         raise ValueError("strategy must be 'lex', or 'random' with an rng; "
                          f"got {reprlib.repr(strategy)}")
-    levels = [{} for _ in range(1 + max(map(_count, e.terms), default=0))]
+    levels = {0: {}}
     for chords, coeff in e.terms.items():
-        levels[_count(chords)][chords] = coeff
-    while len(levels) > 1:
-        before = len(levels) - 1
-        for chords, coeff in levels.pop().items():
+        levels.setdefault(_count(chords), {})[chords] = coeff
+    for before in range(max(levels), 0, -1):
+        for chords, coeff in levels.pop(before, {}).items():
             if not coeff:
                 continue
             quads = crossing_quads(chords)
             quad = next(quads) if strategy == "lex" else rng.choice(list(quads))
             for resolved, left in _resolve_crossing(e.m, e.d, chords, quad, before):
-                level = levels[left]
+                level = levels.setdefault(left, {})
                 level[resolved] = level.get(resolved, 0) + coeff
     return BracketExpression._trusted(e.m, e.d, {ch: c for ch, c in levels[0].items() if c})

@@ -1,11 +1,11 @@
-"""Set partitions of {1,...,n} and the noncrossing lattice NC(n).
+"""Set partitions of {1,...,n}, the noncrossing lattice NC(n) and thickening.
 
 Partitions are kept in canonical form: every block is a sorted tuple and the
 blocks are listed in order of their minima.  Elements are 1-based, matching
 the usual diagram labelling.  Everything in this module is exact integer
 combinatorics on immutable values; all functions are pure and safe to call
-concurrently.  One walk, ``_iter_nc_matchings``, lists the noncrossing
-pairings; NC(n) is its thinning at d = 1 (see ``enumerate_nc``).
+concurrently.  The chord rules (windows, crossings, the pairing walk) live
+in ``brackets``; NC(n) is the walk's thinning at d = 1 (see ``enumerate_nc``).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from functools import cached_property
 from math import comb
 
 from ._value import Value
+from .brackets import _iter_nc_matchings, crossing_quads, window_of
 
 
 def catalan(n: int) -> int:
@@ -83,21 +84,6 @@ def one_partition(n: int) -> SetPartition:
     return SetPartition(n, (tuple(range(1, n + 1)),))
 
 
-def crossing_quads(chords):
-    """Yield every quadruple (i, i', j, j') with i < i' < j < j' such that
-    {i, j} and {i', j'} are chords, in lexicographic order.
-
-    ``chords`` must be increasing pairs sorted by their first element.  The
-    order is lexicographic when no two chords share an endpoint (a matching).
-    """
-    for k, (i, j) in enumerate(chords):
-        for ii, jj in chords[k + 1:]:
-            if ii >= j:
-                break
-            if i < ii and j < jj:
-                yield i, ii, j, jj
-
-
 def is_noncrossing(p: SetPartition) -> bool:
     """True iff no quadruple i < i' < j < j' has i ~ j and i' ~ j' in
     different blocks.
@@ -108,11 +94,6 @@ def is_noncrossing(p: SetPartition) -> bool:
     """
     arcs = sorted(arc for block in p.blocks for arc in zip(block, block[1:]))
     return next(crossing_quads(arcs), None) is None
-
-
-def window_of(x: int, d: int) -> int:
-    """0-based index of the window {kd+1, ..., (k+1)d} holding position x."""
-    return (x - 1) // d
 
 
 def _cycles(after: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -156,77 +137,6 @@ def enumerate_nc(n: int) -> list[SetPartition]:
         raise ValueError("n must be nonnegative")
     return [SetPartition._trusted(n, blocks)
             for blocks in sorted(_thin(ch) for ch in _iter_nc_matchings(2 * n, 1))]
-
-
-def _partners(u: int, end: int, d: int) -> list[int]:
-    """The partners j of u in another window that leave u+1..j-1 and j+1..end
-    fillable, in increasing order; the gap u..end must itself be fillable.
-
-    A run of points is fillable -- has a noncrossing perfect matching with
-    no chord inside a window -- iff its count L is even and no window holds
-    more than L/2 of it.  Necessity: every point needs a partner outside
-    its window.  Sufficiency, by induction on L: the windows cut the points
-    into runs; match the two adjacent points across an edge of a largest
-    run R.  That chord crosses nothing, and the rule holds on the L - 2
-    points left: R and its neighbour each lose one, and any other run T has
-    2|T| <= |T| + |R| <= L - 1.
-
-    So an even run of 2d points or more is fillable, and a shorter nonempty
-    one iff it straddles one window edge evenly.  With j - u odd both runs
-    are even.  u+1..j-1 is fillable iff j > u + 2d or j is ``low``, the
-    mirror of u across its window's right edge; j+1..end iff j <= end - 2d,
-    j = end, or j is ``high``, below end by twice end's place in its window.
-    """
-    low, high = 2 * (window_of(u, d) + 1) * d + 1 - u, 2 * window_of(end, d) * d - end
-    edges = {j for j in (low, high, end) if u < j <= end and (j == low or j > u + 2 * d)
-             and (j in (high, end) or j <= end - 2 * d)}
-    return sorted(edges.union(range(u + 2 * d + 1, end - 2 * d + 1, 2)))
-
-
-def _iter_nc_matchings(n: int, d: int):
-    """Yield, in sorted order, the chord tuples of the noncrossing perfect
-    matchings of [n] with no chord inside a window of d consecutive points.
-
-    The least unmatched point u is matched with each admissible partner j in
-    increasing order, then the gap inside (u, j) is filled, then the rest of
-    u's gap.  j is admissible when it is in another window than u and both
-    gaps it leaves are fillable, so the walk has no dead ends, and as u is
-    the least open point the tuples come out sorted (Knuth, TAOCP 4A,
-    7.2.1.6).  Each gap's partner list is built on its first visit and kept,
-    so memory grows with the gaps visited, not with n^2.  The walk is one
-    loop over an explicit path and undoes its choices through a trail.
-    """
-    if n % 2 or 0 < n < 2 * d:  # 1..n is fillable, by the rule in ``_partners``
-        return
-    lists: list[dict] = [{} for _ in range(n + 1)]  # [u][end]
-    chords: list[tuple[int, int]] = []
-    trail = []  # per chord: its gap's end, the gaps waiting, its list, index
-    u, end, waiting, k = 1, n, None, 0  # waiting: (start, end, rest) or None
-    while True:
-        if u > end and waiting:
-            u, end, waiting = waiting
-        if u > end:
-            yield tuple(chords)
-            # Undo chords until one has a partner left to try.
-            while True:
-                if not trail:
-                    return
-                u = chords.pop()[0]
-                end, waiting, partners, k = trail.pop()
-                k += 1
-                if k < len(partners):
-                    break
-        else:  # a new gap
-            try:
-                partners = lists[u][end]
-            except KeyError:
-                partners = lists[u][end] = _partners(u, end, d)
-        j = partners[k]
-        chords.append((u, j))
-        trail.append((end, waiting, partners, k))
-        if j < end:
-            waiting = (j + 1, end, waiting)
-        u, end, k = u + 1, j - 1, 0
 
 
 def is_m_partite(p: SetPartition, d: int) -> bool:

@@ -22,8 +22,7 @@ from math import lcm
 
 from ._rational import exact
 from ._value import Value
-from .brackets import BracketExpression, BracketMonomial
-from .partitions import _iter_nc_matchings, window_of
+from .brackets import BracketExpression, BracketMonomial, _iter_nc_matchings, window_of
 
 
 class NcPolynomial(Value):

@@ -15,12 +15,14 @@ from ncinv.brackets import (
     BracketExpression,
     BracketMonomial,
     VanishingBracketError,
+    _iter_nc_matchings,
     _resolve_crossing,
+    crossing_quads,
     from_pairs,
     pluecker_step,
     to_noncrossing,
 )
-from ncinv.partitions import PairPartition, crossing_quads, is_noncrossing
+from ncinv.partitions import PairPartition, is_noncrossing
 from ncinv.symbolic import restitution
 
 from _oracles import (
@@ -195,6 +197,22 @@ class TestToNoncrossing:
         assert out.is_noncrossing()
         assert len(resolved) == len(set(resolved)) == 8095
 
+    def test_each_input_term_counted_once(self, monkeypatch):
+        # Placing a term on its level counts its crossings, and a noncrossing
+        # term is never resolved, so nothing counts it again.
+        count = brackets._count
+        calls = []
+
+        def counting(chords):
+            calls.append(chords)
+            return count(chords)
+
+        monkeypatch.setattr(brackets, "_count", counting)
+        terms = {chords: k for k, chords in enumerate(_iter_nc_matchings(12, 2), 1)}
+        e = BracketExpression(6, 2, terms)
+        assert to_noncrossing(e) == e
+        assert len(terms) == 15 and sorted(calls) == sorted(terms)
+
     def test_noncanonical_keys_are_canonicalised(self):
         twisted = BracketExpression(4, 1, {((2, 4), (1, 3)): 1})
         canonical = BracketExpression(4, 1, {((1, 3), (2, 4)): 1})
@@ -364,3 +382,13 @@ class TestTerminationCheck:
         assert done.returncode == 0, done.stderr
         assert "raised: rewriting would not terminate" in done.stdout
         assert "optimize 1" in done.stdout
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BracketMonomial(-1, 2, ()), "m and d must be nonnegative"),
+    (lambda: BracketMonomial(2, 1, ((1, 2),), 2), "sign must be +1 or -1"),
+], ids=["negative-m", "sign-2"])
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

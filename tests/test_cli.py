@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncinv
-from ncinv import symbolic
+from ncinv import group_action, hilbert, symbolic
 from ncinv.cli import main
 from ncinv.partitions import catalan
 from ncinv.symbolic import noncrossing_basis
@@ -421,6 +421,50 @@ class TestVerify:
         )
         assert (code, out) == (2, "")
         assert "plain decimal" in err and "'1e0'" in err
+
+
+class TestVerificationFailureExit1:
+    """Exit code 1: a basis element fails its invariance check, or the
+    dimension routes disagree; the report is printed in full either way."""
+
+    def test_verify_prints_each_failing_element(self, capsys, monkeypatch):
+        monkeypatch.setattr(group_action, "is_invariant", lambda poly, witnesses=None: False)
+        code, out, err = run_cli(capsys, "verify", "--d", "2", "--m", "4")
+        assert (code, err) == (1, "")
+        assert [line.split(": ")[0] for line in out.splitlines()] == [
+            "FAIL element 0", "FAIL element 1", "FAIL element 2"]
+
+    @staticmethod
+    def shift_row(monkeypatch, name, delta, m=4):
+        """Make hilbert's ``name`` return its series with row m moved by delta."""
+        method = getattr(hilbert, name)
+
+        def shifted(*args):
+            series = method(*args)
+            dims = list(series.dims)
+            dims[m] += delta
+            return hilbert.DimensionSeries(series.d, tuple(dims), series.roundoff)
+
+        monkeypatch.setattr(hilbert, name, shifted)
+
+    def test_exact_mismatch(self, capsys, monkeypatch):
+        self.shift_row(monkeypatch, "dims_by_chebyshev", 1)
+        code, out, err = run_cli(capsys, "hilbert", "--d", "2", "--max-m", "4")
+        assert (code, err) == (1, "method comparison failed\n")
+        lines = out.splitlines()
+        assert lines[0] == "m,enum,cheb,quad,abs_err" and len(lines) == 6
+        assert lines[-1].startswith("4,3,4,")
+        code, out, err = run_cli(capsys, "hilbert", "--d", "2", "--max-m", "4",
+                                 "--format", "json")
+        assert (code, err) == (1, "method comparison failed\n")
+        assert '"exact_mismatch": true, "quad_above_tol": false' in out
+
+    def test_quadrature_above_tolerance(self, capsys, monkeypatch):
+        self.shift_row(monkeypatch, "dims_by_quadrature", 1e-6)
+        code, out, err = run_cli(capsys, "hilbert", "--d", "2", "--max-m", "4",
+                                 "--format", "json")
+        assert (code, err) == (1, "method comparison failed\n")
+        assert '"exact_mismatch": false, "quad_above_tol": true' in out
 
 
 class TestMoments:

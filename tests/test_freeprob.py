@@ -295,3 +295,12 @@ class TestOrthogonality:
     def test_centering_required(self):
         with pytest.raises(ValueError):
             psi_orthogonality(2, 2, POISSON)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CumulantSequence("bogus"), "unknown cumulant rule 'bogus'"),
+], ids=["unknown-rule"])
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

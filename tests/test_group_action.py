@@ -379,3 +379,12 @@ class TestCertificate:
         assert done.returncode == 0, done.stderr
         assert "plain True bumped False" in done.stdout
         assert "optimize 1" in done.stdout
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sym_power(SHEAR_UPPER, -1), "degree must be nonnegative"),
+], ids=["negative-degree"])
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

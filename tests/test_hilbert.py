@@ -4,6 +4,7 @@ from itertools import zip_longest
 import pytest
 
 from ncinv import hilbert
+from ncinv.brackets import _iter_nc_matchings
 from ncinv.freeprob import CumulantSequence, psi_mixed_moment
 from ncinv.hilbert import (
     QUADRATURE_TOL,
@@ -15,7 +16,7 @@ from ncinv.hilbert import (
     dims_by_quadrature,
     exact_panels,
 )
-from ncinv.partitions import _iter_nc_matchings, catalan
+from ncinv.partitions import catalan
 
 from _oracles import listed_folded_quadrature, unfolded_quadrature
 
@@ -320,3 +321,13 @@ class TestRoundoffGate:
     def test_small_rows_keep_the_fixed_tolerance(self):
         q = dims_by_quadrature(4, 8, 256)
         assert max(q.roundoff) < QUADRATURE_TOL
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dims_by_chebyshev(-1, 3), "d and max_m must be nonnegative"),
+    (lambda: dims_by_quadrature(-1, 3, 8), "d and max_m must be nonnegative"),
+], ids=["chebyshev-negative-d", "quadrature-negative-d"])
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -70,10 +70,10 @@ def run_main(tmp_path, argv, probe: str):
     (["moments", "--rule", "semicircle", "--n", "6"], ["_rational", "freeprob"]),
     (["hilbert", "--d", "2", "--max-m", "4", "--method", "chebyshev"], ["hilbert"]),
     (["hilbert", "--d", "2", "--max-m", "4"], ["hilbert"]),
-    (["rewrite", "EXPRESSION"], ["_rational", "brackets", "partitions"]),
-    (["basis", "--d", "2", "--m", "4"], ["_rational", "brackets", "partitions", "symbolic"]),
+    (["rewrite", "EXPRESSION"], ["_rational", "brackets"]),
+    (["basis", "--d", "2", "--m", "4"], ["_rational", "brackets", "symbolic"]),
     (["verify", "--d", "2", "--m", "4", "--witnesses", "1"],
-     ["_rational", "brackets", "group_action", "partitions", "symbolic"]),
+     ["_rational", "brackets", "group_action", "symbolic"]),
 ], ids=["dim", "moments", "hilbert-chebyshev", "hilbert-all", "rewrite", "basis", "verify"])
 def test_subcommand_loads_its_layers_only(tmp_path, argv, layers):
     # Every layer keeps its records on the private base in ncinv._value.

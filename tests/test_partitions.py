@@ -3,11 +3,10 @@ import tracemalloc
 from math import comb
 
 import pytest
+from ncinv.brackets import _iter_nc_matchings, _partners
 from ncinv.partitions import (
     PairPartition,
     SetPartition,
-    _iter_nc_matchings,
-    _partners,
     _thin,
     catalan,
     enumerate_m_partite_nc_pairings,
@@ -405,3 +404,35 @@ class TestThicken:
         q = SetPartition(2, ((1,), (2,)))
         with pytest.raises(ValueError):
             unthicken(q, 2, 2)
+
+
+CROSSING = SetPartition(4, ((1, 3), (2, 4)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SetPartition(-1, ()), "ground set size must be nonnegative"),
+    (lambda: is_m_partite(SetPartition(2, ((1, 2),)), 0),
+     "interval size 0 needs an empty ground set"),
+    (lambda: nc_moebius(zero_partition(2), zero_partition(3)), "mismatched ground sets"),
+    (lambda: thicken(CROSSING, 2, 4), "expected a pairing of [8], got ground set 4"),
+    (lambda: thicken(SetPartition(4, ((1, 2, 3), (4,))), 2, 2),
+     "thicken needs a pair partition"),
+    (lambda: unthicken(SetPartition(2, ((1, 2),)), 2, 1),
+     "interval size must be even to unthicken"),
+    (lambda: unthicken(SetPartition(3, ((1, 2), (3,))), 2, 2),
+     "expected a partition of [2], got ground set 3"),
+    (lambda: unthicken(CROSSING, 2, 4), "partition must be noncrossing"),
+    (lambda: unthicken(SetPartition(4, ((1, 2), (3, 4))), 2, 4),
+     "partition must be m-partite"),
+], ids=["negative-n", "m-partite-d0", "moebius-ground-sets", "thicken-ground-set",
+        "thicken-not-pairs", "unthicken-odd-d", "unthicken-ground-set",
+        "unthicken-crossing", "unthicken-not-m-partite"])
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_empty_ground_set_edges():
+    assert is_m_partite(SetPartition(0, ()), 0) is True
+    assert one_partition(0) == SetPartition(0, ())

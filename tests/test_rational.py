@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncinv._rational import exact, json_rational, parse_rational
-from ncinv.brackets import BracketExpression
+from ncinv._rational import exact, parse_rational
+from ncinv.brackets import BracketExpression, json_rational
 from ncinv.freeprob import MomentSequence
 from ncinv.symbolic import NcPolynomial
 

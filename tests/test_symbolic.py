@@ -267,3 +267,17 @@ class TestBasis:
             for d in range(13):
                 if m * d <= 12:
                     assert noncrossing_basis(m, d) == list(iter_noncrossing_basis(m, d))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NcPolynomial(-1, 2), "d and m must be nonnegative"),
+    (lambda: NcPolynomial(1, 2) + NcPolynomial(2, 2), "mismatched degree or word length"),
+], ids=["negative-d", "add-mismatched-d"])
+def test_refusals_name_the_fault(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_zero_polynomial_prints_as_0():
+    assert NcPolynomial(1, 2).pretty() == "0"
