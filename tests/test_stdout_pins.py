@@ -5,8 +5,10 @@ to a printed byte fails here.
 The commands are README's exact examples (``rewrite`` reads README's example
 file), the benchmark's exact CLI jobs at seed 1 (no cache flag; the
 ``verify`` witness matrix fixed at 7 2 3 1), a few larger or rational
-requests, and ``rewrite`` of one crossing expression whose coefficient is
-written as a JSON integer and as four strings.  No command prints a
+requests, ``rewrite`` of one crossing expression whose coefficient is
+written as a JSON integer and as four strings, and ``rewrite`` of the
+(m, d) = (10, 2) shift pairing and of two multi-term rational files at
+d = 3 and d = 4.  No command prints a
 quadrature column: its last digits depend on the platform's libm.  Run as a
 script to print the table anew.
 """
@@ -97,6 +99,12 @@ PINS = [
      '54e32f6dc0075793b4eec9f56d0fa78f0fa757b6955131966dcb1d9694a8dd80', 0),
     ('moments --rule "table:[0,1,2,3]" --n 40',
      'ebf4e898a5357517fcdbdbfb2e85f55a996b3345f1c4d268641df6455e245703', 0),
+    ('rewrite shift-10-2.json',
+     'ec095c35660bc65b61c1171804bda564bfbb12916498a7854e86f3b06bff39cc', 0),
+    ('rewrite mixed-6-3.json',
+     '6f40e509c2b408a498ec73114ba8c1fa71d9c472c61199d9229f404f37dfe087', 0),
+    ('rewrite mixed-5-4.json',
+     '1a0be56cfe9fa8fc60a42f15514a0ed472f17ce7392ee84960476c59b3baba24', 0),
 ]
 
 # The coefficient of the inline ``rewrite`` files, as written in the JSON.
@@ -118,11 +126,36 @@ def inline_expression(coeff: str) -> str:
             '{"coeff": 1, "chords": [[1, 3], [2, 5], [4, 7], [6, 8]], "sign": -1}]}')
 
 
+# Larger ``rewrite`` inputs: the shift pairing {i, i + 10} of [20] (603
+# output terms), and three crossing monomials each at (m, d) = (6, 3) and
+# (5, 4), with unreduced rational coefficients, reversed pairs and a sign.
+REWRITES = {
+    "shift-10-2": '{"m": 10, "d": 2, "terms": [{"coeff": 1, "chords": ['
+                  + ", ".join(f"[{i}, {i + 10}]" for i in range(1, 11)) + ']}]}',
+    "mixed-6-3": '{"m": 6, "d": 3, "terms": ['
+                 '{"coeff": "-4/6", "chords": [[6, 8], [12, 2], [9, 13], [14, 3], [15, 7], '
+                 '[16, 5], [4, 11], [17, 1], [10, 18]]}, '
+                 '{"coeff": "9/6", "chords": [[11, 4], [17, 7], [2, 8], [1, 15], [18, 14], '
+                 '[12, 3], [9, 5], [6, 16], [10, 13]], "sign": -1}, '
+                 '{"coeff": "-3/3", "chords": [[8, 5], [13, 7], [1, 9], [2, 18], [11, 15], '
+                 '[14, 3], [6, 16], [4, 10], [17, 12]]}]}',
+    "mixed-5-4": '{"m": 5, "d": 4, "terms": ['
+                 '{"coeff": "-9/7", "chords": [[4, 17], [13, 18], [20, 14], [5, 10], [9, 15], '
+                 '[7, 19], [11, 8], [3, 12], [1, 16], [6, 2]]}, '
+                 '{"coeff": "9/6", "chords": [[14, 8], [19, 2], [17, 5], [9, 18], [3, 11], '
+                 '[10, 15], [4, 20], [13, 6], [16, 12], [7, 1]], "sign": -1}, '
+                 '{"coeff": "2/7", "chords": [[17, 3], [12, 5], [18, 4], [1, 8], [10, 7], '
+                 '[2, 16], [19, 9], [14, 20], [15, 6], [11, 13]]}]}',
+}
+
+
 def write_files(directory: Path) -> None:
     """README's example file and the inline ``rewrite`` files."""
     (directory / "expression.json").write_text(readme_example(), encoding="utf-8")
     for name, coeff in COEFFICIENTS.items():
         (directory / f"coeff-{name}.json").write_text(inline_expression(coeff), encoding="utf-8")
+    for name, text in REWRITES.items():
+        (directory / f"{name}.json").write_text(text, encoding="utf-8")
 
 
 def run(command: str) -> tuple[str, int]:
