@@ -10,10 +10,13 @@ canonical chord tuples.  Crossings are found and counted by
 ``crossing_quads`` alone, and ``_iter_nc_matchings`` walks the noncrossing
 pairings with no chord inside a window (the m-partite ones).
 
-Rewriting replaces a crossing chord pair by the disjoint plus the nested
-resolution, by induction on crossing number: the terms of highest count are
-resolved first, each pairing once, and each resolution is recounted; a count
-that does not drop raises, also under ``python -O``.
+A monomial's restitution is +-prod over its chords {p, q} of (t_a - t_b),
+a < b the windows of p and q, so ``to_noncrossing`` rewrites window
+multigraphs (edges, mults): the distinct window pairs, sorted, and how many
+chords join each.  Pluecker's relation (Kempe 1894) resolves a crossing
+(a, c), (b, e) with a < b < c < e into (a, b), (c, e) plus (a, e), (b, c).
+A noncrossing graph is one m-partite noncrossing pairing, decoded from its
+out-degrees.  ``pluecker_step`` keeps the slot-level step.
 
 The ``json_*`` readers check the fields of the one JSON document a command
 reads, the bracket expression file of ``rewrite``: a missing field or a
@@ -25,7 +28,9 @@ value through ``reprlib.repr``, so a huge input is not echoed in full.
 from __future__ import annotations
 
 import reprlib
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 from ._rational import exact
 from ._value import Value
@@ -120,6 +125,18 @@ def _iter_nc_matchings(n: int, d: int):
         if j < end:
             waiting = (j + 1, end, waiting)
         u, end, k = u + 1, j - 1, 0
+
+
+def _decode_leading_word(word, d: int) -> tuple[tuple[int, int], ...]:
+    """The sorted chords of the m-partite noncrossing pairing whose window k
+    opens word[k] chords (``symbolic.predicted_leading_word``): window k
+    closes its other slots first, against the most recent openers."""
+    stack, chords = [], []
+    for k, opens in enumerate(word):
+        first, split = k * d + 1, (k + 1) * d + 1 - opens
+        chords.extend((stack.pop(), x) for x in range(first, split))
+        stack.extend(range(split, first + d))
+    return tuple(sorted(chords))
 
 
 class VanishingBracketError(ValueError):
@@ -287,6 +304,16 @@ class BracketExpression(Value):
         return cls(m, d, terms)
 
 
+def _recount(count, resolved, quad, before: int) -> tuple[tuple, int]:
+    """(resolved, count(resolved)); raises, also under ``python -O``, unless
+    resolving ``quad`` left fewer than ``before`` crossings."""
+    left = count(resolved)
+    if left >= before:
+        raise RuntimeError(f"rewriting would not terminate: resolving {quad} left "
+                           f"{left} crossings, not fewer than {before}")
+    return resolved, left
+
+
 def _resolve_crossing(m: int, d: int, chords, quad, before: int) -> list[tuple[tuple, int]]:
     """Both crossing resolutions of quad = (i, i', j, j') in ``chords``, which
     have ``before`` crossings; a resolution whose new chord falls inside one
@@ -295,17 +322,9 @@ def _resolve_crossing(m: int, d: int, chords, quad, before: int) -> list[tuple[t
     (coefficient +1); raises unless left < before."""
     i, ii, j, jj = quad
     rest = tuple(ch for ch in chords if ch not in ((i, j), (ii, jj)))
-    out = []
-    for new_pair in (((i, ii), (j, jj)), ((i, jj), (ii, j))):
-        if any(window_of(p, d) == window_of(q, d) for p, q in new_pair):
-            continue
-        resolved = tuple(sorted(rest + new_pair))
-        left = _count(resolved)
-        if left >= before:
-            raise RuntimeError(f"rewriting would not terminate: resolving {quad} left "
-                               f"{left} crossings, not fewer than {before}")
-        out.append((resolved, left))
-    return out
+    return [_recount(_count, tuple(sorted(rest + new_pair)), quad, before)
+            for new_pair in (((i, ii), (j, jj)), ((i, jj), (ii, j)))
+            if all(window_of(p, d) != window_of(q, d) for p, q in new_pair)]
 
 
 def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
@@ -322,29 +341,66 @@ def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
     return BracketExpression._trusted(b.m, b.d, {chords: b.sign for chords, _ in resolved})
 
 
+def _graph_count(graph) -> int:
+    """Crossing number of a window multigraph (edges, mults): mult(a, c) *
+    mult(b, e) summed over the crossings (a, b, c, e) of its distinct edges."""
+    mult = dict(zip(*graph))
+    return sum(mult[a, c] * mult[b, e] for a, b, c, e in crossing_quads(list(mult)))
+
+
+def _resolve_graph(graph, quad, before: int) -> list[tuple[tuple, int]]:
+    """(resolved, left) for {a,b},{c,e} and for {a,e},{b,c}, the resolutions
+    of the crossing quad = (a, b, c, e) of ``graph``; as in
+    ``_resolve_crossing``, but neither can vanish."""
+    a, b, c, e = quad
+    out = []
+    for new_edges in (((a, b), (c, e)), ((a, e), (b, c))):
+        mult = dict(zip(*graph))
+        mult[a, c] -= 1
+        mult[b, e] -= 1
+        for edge in new_edges:
+            mult[edge] = mult.get(edge, 0) + 1
+        resolved = tuple(zip(*sorted(filter(itemgetter(1), mult.items()))))
+        out.append(_recount(_graph_count, resolved, quad, before))
+    return out
+
+
 def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> BracketExpression:
     """Rewrite e into an equal expression supported on noncrossing monomials.
 
-    strategy "lex" resolves the smallest crossing each time; "random" picks a
-    uniformly random one from ``rng`` (used to check that the normal form does
-    not depend on the choice).  ``levels[k]`` holds the terms with k
-    crossings; each input term is counted once.  From the top down, a level
-    is popped and each term on it resolved once, on its merged coefficient,
-    the recount putting each resolution lower.  ``levels[0]`` is the normal form.
+    ``levels[k]`` holds the window multigraphs with k crossings, input terms
+    with one graph summed and each input graph counted once.  From the top
+    down, each graph is resolved once, on its merged coefficient, at the
+    first crossing ``crossing_quads`` yields on its distinct edges ("lex") or
+    at a random one from ``rng`` ("random", to check that the normal form
+    does not depend on the choice).  Each resolution is recounted, and a
+    count that does not drop raises, also under ``python -O``.  The graphs
+    left on ``levels[0]`` decode to the normal form.
     """
     if strategy not in ("lex", "random") or strategy == "random" and rng is None:
         raise ValueError("strategy must be 'lex', or 'random' with an rng; "
                          f"got {reprlib.repr(strategy)}")
-    levels = {0: {}}
+    graphs = {}
     for chords, coeff in e.terms.items():
-        levels.setdefault(_count(chords), {})[chords] = coeff
+        graph = tuple(zip(*sorted(Counter((window_of(p, e.d), window_of(q, e.d))
+                                          for p, q in chords).items())))
+        graphs[graph] = graphs.get(graph, 0) + coeff
+    levels = {0: {}}
+    for graph, coeff in graphs.items():
+        levels.setdefault(_graph_count(graph), {})[graph] = coeff
     for before in range(max(levels), 0, -1):
-        for chords, coeff in levels.pop(before, {}).items():
+        for graph, coeff in levels.pop(before, {}).items():
             if not coeff:
                 continue
-            quads = crossing_quads(chords)
+            quads = crossing_quads(graph[0])
             quad = next(quads) if strategy == "lex" else rng.choice(list(quads))
-            for resolved, left in _resolve_crossing(e.m, e.d, chords, quad, before):
+            for resolved, left in _resolve_graph(graph, quad, before):
                 level = levels.setdefault(left, {})
                 level[resolved] = level.get(resolved, 0) + coeff
-    return BracketExpression._trusted(e.m, e.d, {ch: c for ch, c in levels[0].items() if c})
+    terms = {}
+    for graph, coeff in levels[0].items():
+        word = [0] * e.m
+        for (a, _b), k in zip(*graph):
+            word[a] += k
+        terms[_decode_leading_word(word, e.d)] = coeff
+    return BracketExpression._trusted(e.m, e.d, {ch: c for ch, c in terms.items() if c})

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -15,21 +17,24 @@ from ncinv.brackets import (
     BracketExpression,
     BracketMonomial,
     VanishingBracketError,
+    _decode_leading_word,
     _iter_nc_matchings,
     _resolve_crossing,
+    _resolve_graph,
     crossing_quads,
     from_pairs,
     pluecker_step,
     to_noncrossing,
 )
 from ncinv.partitions import PairPartition, is_noncrossing
-from ncinv.symbolic import restitution
+from ncinv.symbolic import predicted_leading_word, restitution
 
 from _oracles import (
     all_perfect_matchings,
     blocks_are_m_partite,
     brute_crossing_quadruples,
     iter_crossing_quadruples,
+    nc_perfect_matchings,
 )
 
 
@@ -40,6 +45,39 @@ def all_monomials(m, d):
         for ch in all_perfect_matchings(m * d)
         if blocks_are_m_partite(ch, d)
     ]
+
+
+def window_graph(chords, d):
+    """The window multigraph (edges, mults) of canonical chords, from scratch."""
+    pairs = [((p - 1) // d, (q - 1) // d) for p, q in chords]
+    edges = tuple(sorted(set(pairs)))
+    return edges, tuple(pairs.count(edge) for edge in edges)
+
+
+def brute_graph_crossings(graph) -> int:
+    """Crossing chord pairs of a window multigraph, one edge copy at a time."""
+    copies = [edge for edge, k in zip(*graph) for _ in range(k)]
+    return sum(1 for (a, c), (b, e) in itertools.permutations(copies, 2) if a < b < c < e)
+
+
+def graph_value(graph, t) -> int:
+    """prod of (t_a - t_b)^k over the graph's edges (a, b) of multiplicity k."""
+    return math.prod((t[a] - t[b]) ** k for (a, b), k in zip(*graph))
+
+
+def slot_normal_form(e: BracketExpression) -> dict:
+    """The fixed point of ``pluecker_step``: the terms of highest crossing
+    count are stepped first, so each pairing is stepped once."""
+    levels = {}
+    for chords, coeff in e.terms.items():
+        level = levels.setdefault(BracketMonomial(e.m, e.d, chords).crossing_count(), {})
+        level[chords] = coeff
+    while max(levels, default=0):
+        for chords, coeff in levels.pop(max(levels)).items():
+            for term, c in pluecker_step(BracketMonomial(e.m, e.d, chords)).monomials():
+                level = levels.setdefault(term.crossing_count(), {})
+                level[term.chords] = level.get(term.chords, 0) + c * coeff
+    return {chords: c for chords, c in levels.get(0, {}).items() if c}
 
 
 def md_cases(limit):
@@ -171,6 +209,20 @@ class TestToNoncrossing:
                 rnd = to_noncrossing(e, strategy="random", rng=rng)
                 assert lex == rnd
 
+    def test_random_picks_among_the_graph_crossings(self):
+        # The shift pairing {i, i + 6} at d=2 joins windows (0, 3), (1, 4)
+        # and (2, 5) twice each: three crossing edge pairs, not nine.
+        picks = []
+
+        class Last(random.Random):
+            def choice(self, seq):
+                picks.append(seq)
+                return seq[-1]
+
+        shift = BracketExpression(6, 2, {tuple((i, i + 6) for i in range(1, 7)): 1})
+        assert to_noncrossing(shift, strategy="random", rng=Last()) == to_noncrossing(shift)
+        assert picks[0] == [(0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 4, 5)]
+
     def test_random_needs_rng(self):
         e = BracketExpression.from_monomial(BracketMonomial(4, 1, ((1, 3), (2, 4)), 1))
         with pytest.raises(ValueError):
@@ -182,36 +234,63 @@ class TestToNoncrossing:
         with pytest.raises(ValueError, match="strategy must be 'lex'.*'bogus'"):
             to_noncrossing(e, strategy="bogus", rng=rng)
 
-    def test_each_pairing_resolved_once(self, monkeypatch):
+    def test_each_multigraph_resolved_once(self, monkeypatch):
         # The shift pairing {i, i + 10} at m=10, d=2 reaches most of its
-        # intermediate pairings along more than one path.
+        # intermediate window multigraphs along more than one path.  Slot by
+        # slot the same rewrite resolved 8095 pairings.
         resolved = []
 
-        def recording(m, d, chords, quad, before):
-            resolved.append(chords)
-            return _resolve_crossing(m, d, chords, quad, before)
+        def recording(graph, quad, before):
+            resolved.append(graph)
+            return _resolve_graph(graph, quad, before)
 
-        monkeypatch.setattr(brackets, "_resolve_crossing", recording)
+        monkeypatch.setattr(brackets, "_resolve_graph", recording)
         shift = BracketMonomial(10, 2, tuple((i, i + 10) for i in range(1, 11)), 1)
         out = to_noncrossing(BracketExpression.from_monomial(shift))
-        assert out.is_noncrossing()
-        assert len(resolved) == len(set(resolved)) == 8095
+        assert out.is_noncrossing() and len(out) == 603
+        assert len(resolved) == len(set(resolved)) == 2398
 
     def test_each_input_term_counted_once(self, monkeypatch):
-        # Placing a term on its level counts its crossings, and a noncrossing
-        # term is never resolved, so nothing counts it again.
-        count = brackets._count
+        # Placing a term on its level counts its graph's crossings, and a
+        # noncrossing graph is never resolved, so nothing counts it again.
+        count = brackets._graph_count
         calls = []
 
-        def counting(chords):
-            calls.append(chords)
-            return count(chords)
+        def counting(graph):
+            calls.append(graph)
+            return count(graph)
 
-        monkeypatch.setattr(brackets, "_count", counting)
+        monkeypatch.setattr(brackets, "_graph_count", counting)
         terms = {chords: k for k, chords in enumerate(_iter_nc_matchings(12, 2), 1)}
         e = BracketExpression(6, 2, terms)
         assert to_noncrossing(e) == e
-        assert len(terms) == 15 and sorted(calls) == sorted(terms)
+        assert len(terms) == 15
+        assert sorted(calls) == sorted(window_graph(chords, 2) for chords in terms)
+
+    def test_terms_with_one_multigraph_are_summed(self):
+        # Both pairings join windows 0 and 1 twice, so their restitutions
+        # agree and the difference is zero; the first one crosses.
+        e = BracketExpression(2, 2, {((1, 3), (2, 4)): Fraction(2, 3), ((1, 4), (2, 3)): -1})
+        assert restitution(to_noncrossing(e)) == restitution(e)
+        assert to_noncrossing(e).terms == {((1, 4), (2, 3)): Fraction(-1, 3)}
+        e = BracketExpression(2, 2, {((1, 3), (2, 4)): 1, ((1, 4), (2, 3)): -1})
+        assert to_noncrossing(e).terms == {}
+
+    @pytest.mark.parametrize("m, d", [(8, 2), (6, 3), (5, 4)])
+    def test_equals_the_slot_level_fixed_point(self, m, d):
+        # Seeded multi-term inputs with rational coefficients; the slot-level
+        # oracle runs pluecker_step alone.
+        rng = random.Random(1000 * m + d)
+        for _ in range(3):
+            terms = {}
+            while len(terms) < 4:
+                points = list(range(1, m * d + 1))
+                rng.shuffle(points)
+                pairs = list(zip(points[::2], points[1::2]))
+                if all((p - 1) // d != (q - 1) // d for p, q in pairs):
+                    terms[tuple(pairs)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            e = BracketExpression(m, d, terms)
+            assert to_noncrossing(e).terms == slot_normal_form(e)
 
     def test_noncanonical_keys_are_canonicalised(self):
         twisted = BracketExpression(4, 1, {((2, 4), (1, 3)): 1})
@@ -349,6 +428,25 @@ class TestExpressionJson:
             BracketExpression.from_json_dict(data)
 
 
+class TestDecode:
+    def test_leading_word_decodes_to_its_pairing(self):
+        # Every m-partite noncrossing pairing with md <= 16, listed from
+        # scratch rather than by the pairing walk.
+        decoded = 0
+        for m, d in md_cases(16):
+            for chords in nc_perfect_matchings(1, m * d):
+                if blocks_are_m_partite(chords, d):
+                    word = predicted_leading_word(BracketMonomial(m, d, chords))
+                    assert _decode_leading_word(word, d) == chords
+                    decoded += 1
+        assert decoded == sum(1 for m, d in md_cases(16)
+                              for _ in _iter_nc_matchings(m * d, d))
+
+    def test_empty_pairing(self):
+        assert _decode_leading_word((0, 0, 0), 0) == ()
+        assert _decode_leading_word((), 3) == ()
+
+
 class TestTerminationCheck:
     @pytest.mark.parametrize("m, d", [(4, 2), (3, 3), (8, 1), (2, 4)])
     def test_every_resolution_lowers_the_recounted_crossings(self, m, d):
@@ -359,6 +457,22 @@ class TestTerminationCheck:
             for quad in crossing_quads(mono.chords):
                 for resolved, left in _resolve_crossing(m, d, mono.chords, quad, before):
                     assert left == brute_crossing_quadruples(resolved) < before
+
+    @pytest.mark.parametrize("m, d", [(4, 2), (3, 3), (8, 1), (2, 4)])
+    def test_every_graph_resolution_lowers_the_recounted_crossings(self, m, d):
+        # Every crossing of every monomial's window multigraph: the recount
+        # is the brute count and lower, and Pluecker's relation holds at a
+        # point with distinct coordinates.
+        t = [3 ** k + k for k in range(m)]
+        graphs = {window_graph(mono.chords, d) for mono in all_monomials(m, d)}
+        for graph in graphs:
+            before = brute_graph_crossings(graph)
+            for quad in crossing_quads(graph[0]):
+                resolved = _resolve_graph(graph, quad, before)
+                assert len(resolved) == 2
+                for after, left in resolved:
+                    assert left == brute_graph_crossings(after) < before
+                assert graph_value(graph, t) == sum(graph_value(g, t) for g, _ in resolved)
 
     def test_active_under_optimize(self):
         # Make every crossing count read the same, so no resolution can
@@ -371,6 +485,28 @@ class TestTerminationCheck:
             "try:\n"
             "    chords = ((1, 3), (2, 4))\n"
             "    brackets._resolve_crossing(4, 1, chords, (1, 2, 3, 4), brackets._count(chords))\n"
+            "except RuntimeError as exc:\n"
+            "    print('raised:', exc)\n"
+            "print('optimize', sys.flags.optimize)\n"
+        )
+        src = str(Path(ncinv.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "raised: rewriting would not terminate" in done.stdout
+        assert "optimize 1" in done.stdout
+
+    def test_graph_check_active_under_optimize(self):
+        # The same for the window multigraphs that to_noncrossing rewrites.
+        script = (
+            "import sys\n"
+            "assert False, 'asserts are on'\n"
+            "from ncinv import brackets\n"
+            "brackets._graph_count = lambda graph: 7\n"
+            "mono = brackets.BracketMonomial(4, 1, ((1, 3), (2, 4)), 1)\n"
+            "try:\n"
+            "    brackets.to_noncrossing(brackets.BracketExpression.from_monomial(mono))\n"
             "except RuntimeError as exc:\n"
             "    print('raised:', exc)\n"
             "print('optimize', sys.flags.optimize)\n"
