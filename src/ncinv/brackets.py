@@ -129,7 +129,8 @@ def _iter_nc_matchings(n: int, d: int):
 
 def _decode_leading_word(word, d: int) -> tuple[tuple[int, int], ...]:
     """The sorted chords of the m-partite noncrossing pairing whose window k
-    opens word[k] chords (``symbolic.predicted_leading_word``): window k
+    opens word[k] chords (``symbolic.predicted_leading_word``).  A chord
+    closing in a window after one opens there would cross it, so window k
     closes its other slots first, against the most recent openers."""
     stack, chords = [], []
     for k, opens in enumerate(word):
