@@ -132,11 +132,13 @@ def _decode_leading_word(word, d: int) -> tuple[tuple[int, int], ...]:
     opens word[k] chords (``symbolic.predicted_leading_word``).  A chord
     closing in a window after one opens there would cross it, so window k
     closes its other slots first, against the most recent openers."""
-    stack, chords = [], []
-    for k, opens in enumerate(word):
-        first, split = k * d + 1, (k + 1) * d + 1 - opens
-        chords.extend((stack.pop(), x) for x in range(first, split))
-        stack.extend(range(split, first + d))
+    stack, chords, x = [], [], 0  # x is the last slot read
+    for opens in word:
+        for _ in range(d - opens):
+            x += 1
+            chords.append((stack.pop(), x))
+        stack.extend(range(x + 1, x + 1 + opens))
+        x += opens
     return tuple(sorted(chords))
 
 
@@ -345,8 +347,9 @@ def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
 def _graph_count(graph) -> int:
     """Crossing number of a window multigraph (edges, mults): mult(a, c) *
     mult(b, e) summed over the crossings (a, b, c, e) of its distinct edges."""
-    mult = dict(zip(*graph))
-    return sum(mult[a, c] * mult[b, e] for a, b, c, e in crossing_quads(list(mult)))
+    edges, mults = graph
+    mult = dict(zip(edges, mults))
+    return sum(mult[a, c] * mult[b, e] for a, b, c, e in crossing_quads(edges))
 
 
 def _resolve_graph(graph, quad, before: int) -> list[tuple[tuple, int]]:
@@ -354,11 +357,12 @@ def _resolve_graph(graph, quad, before: int) -> list[tuple[tuple, int]]:
     of the crossing quad = (a, b, c, e) of ``graph``; as in
     ``_resolve_crossing``, but neither can vanish."""
     a, b, c, e = quad
+    rest = dict(zip(*graph))
+    rest[a, c] -= 1
+    rest[b, e] -= 1
     out = []
     for new_edges in (((a, b), (c, e)), ((a, e), (b, c))):
-        mult = dict(zip(*graph))
-        mult[a, c] -= 1
-        mult[b, e] -= 1
+        mult = rest.copy()
         for edge in new_edges:
             mult[edge] = mult.get(edge, 0) + 1
         resolved = tuple(zip(*sorted(filter(itemgetter(1), mult.items()))))
@@ -383,8 +387,9 @@ def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> 
                          f"got {reprlib.repr(strategy)}")
     graphs = {}
     for chords, coeff in e.terms.items():
-        graph = tuple(zip(*sorted(Counter((window_of(p, e.d), window_of(q, e.d))
-                                          for p, q in chords).items())))
+        mult = Counter((window_of(p, e.d), window_of(q, e.d)) for p, q in chords)
+        edges = tuple(sorted(mult))
+        graph = edges, tuple(mult[edge] for edge in edges)
         graphs[graph] = graphs.get(graph, 0) + coeff
     levels = {0: {}}
     for graph, coeff in graphs.items():
