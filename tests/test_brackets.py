@@ -48,7 +48,7 @@ def all_monomials(m, d):
 
 
 def window_graph(chords, d):
-    """The window multigraph (edges, mults) of canonical chords, from scratch."""
+    """The window multigraph (edges, mults) of canonical chords, counted directly."""
     pairs = [((p - 1) // d, (q - 1) // d) for p, q in chords]
     edges = tuple(sorted(set(pairs)))
     return edges, tuple(pairs.count(edge) for edge in edges)
@@ -236,8 +236,7 @@ class TestToNoncrossing:
 
     def test_each_multigraph_resolved_once(self, monkeypatch):
         # The shift pairing {i, i + 10} at m=10, d=2 reaches most of its
-        # intermediate window multigraphs along more than one path.  Slot by
-        # slot the same rewrite resolved 8095 pairings.
+        # intermediate window multigraphs along more than one path.
         resolved = []
 
         def recording(graph, quad, before):
@@ -430,8 +429,8 @@ class TestExpressionJson:
 
 class TestDecode:
     def test_leading_word_decodes_to_its_pairing(self):
-        # Every m-partite noncrossing pairing with md <= 16, listed from
-        # scratch rather than by the pairing walk.
+        # Every m-partite noncrossing pairing with md <= 16, listed by the
+        # brute-force oracle rather than by the pairing walk.
         decoded = 0
         for m, d in md_cases(16):
             for chords in nc_perfect_matchings(1, m * d):
@@ -477,47 +476,43 @@ class TestTerminationCheck:
     def test_active_under_optimize(self):
         # Make every crossing count read the same, so no resolution can
         # lower it; the check must still fire with asserts stripped by -O.
-        script = (
-            "import sys\n"
-            "assert False, 'asserts are on'\n"
-            "from ncinv import brackets\n"
+        out = run_optimized(
             "brackets._count = lambda chords: 7\n"
-            "try:\n"
-            "    chords = ((1, 3), (2, 4))\n"
-            "    brackets._resolve_crossing(4, 1, chords, (1, 2, 3, 4), brackets._count(chords))\n"
-            "except RuntimeError as exc:\n"
-            "    print('raised:', exc)\n"
-            "print('optimize', sys.flags.optimize)\n"
+            "chords = ((1, 3), (2, 4))\n"
+            "brackets._resolve_crossing(4, 1, chords, (1, 2, 3, 4), brackets._count(chords))\n"
         )
-        src = str(Path(ncinv.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert "raised: rewriting would not terminate" in done.stdout
-        assert "optimize 1" in done.stdout
+        assert "raised: rewriting would not terminate" in out
 
     def test_graph_check_active_under_optimize(self):
         # The same for the window multigraphs that to_noncrossing rewrites.
-        script = (
-            "import sys\n"
-            "assert False, 'asserts are on'\n"
-            "from ncinv import brackets\n"
+        out = run_optimized(
             "brackets._graph_count = lambda graph: 7\n"
             "mono = brackets.BracketMonomial(4, 1, ((1, 3), (2, 4)), 1)\n"
-            "try:\n"
-            "    brackets.to_noncrossing(brackets.BracketExpression.from_monomial(mono))\n"
-            "except RuntimeError as exc:\n"
-            "    print('raised:', exc)\n"
-            "print('optimize', sys.flags.optimize)\n"
+            "brackets.to_noncrossing(brackets.BracketExpression.from_monomial(mono))\n"
         )
-        src = str(Path(ncinv.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        assert "raised: rewriting would not terminate" in done.stdout
-        assert "optimize 1" in done.stdout
+        assert "raised: rewriting would not terminate" in out
+
+
+def run_optimized(body: str) -> str:
+    """stdout of ``body`` (lines using ``brackets``) run by ``python -O``,
+    with a RuntimeError it raises printed; fails unless asserts are off."""
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are on'\n"
+        "from ncinv import brackets\n"
+        "try:\n"
+        + "".join(f"    {line}\n" for line in body.splitlines())
+        + "except RuntimeError as exc:\n"
+        "    print('raised:', exc)\n"
+        "print('optimize', sys.flags.optimize)\n"
+    )
+    src = str(Path(ncinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "optimize 1" in done.stdout
+    return done.stdout
 
 
 @pytest.mark.parametrize("build, message", [
