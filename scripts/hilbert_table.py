@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tabulate the dimension series of the invariant spaces for several form
-degrees, cross-checking the enumerative, Chebyshev-moment, and quadrature
-routes against each other.
+degrees, cross-checking the enumerative, Chebyshev constant-term and
+quadrature routes against each other.
 
 Usage: python scripts/hilbert_table.py [--max-d 4] [--max-m 8] [--nodes P]
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Show how the Molien-integral quadrature error behaves under node
-doubling, against the exact Chebyshev-moment values.
+doubling, against the exact Chebyshev constant-term values.
 
 The integrand is a trigonometric polynomial, so once the panels resolve its
 highest harmonic the error collapses to roundoff; before that point every

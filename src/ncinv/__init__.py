@@ -13,8 +13,8 @@ _EXPORTS = {
                  "moments_from_cumulants", "psi_mixed_moment", "psi_orthogonality"),
     "group_action": ("GroupElement", "act", "default_witnesses", "is_invariant",
                      "random_group_element", "random_witnesses", "sym_power"),
-    "hilbert": ("DimensionSeries", "MethodComparison", "chebyshev_poly", "compare_methods",
-                "dims_by_chebyshev", "dims_by_enumeration", "dims_by_quadrature"),
+    "hilbert": ("DimensionSeries", "MethodComparison", "compare_methods", "dims_by_chebyshev",
+                "dims_by_enumeration", "dims_by_quadrature"),
     "partitions": ("PairPartition", "SetPartition", "catalan",
                    "enumerate_m_partite_nc_pairings", "enumerate_nc", "is_m_partite",
                    "is_noncrossing", "leq", "nc_moebius", "one_partition", "thicken",

@@ -16,7 +16,8 @@ multigraphs (edges, mults): the distinct window pairs, sorted, and how many
 chords join each.  Pluecker's relation (Kempe 1894) resolves a crossing
 (a, c), (b, e) with a < b < c < e into (a, b), (c, e) plus (a, e), (b, c).
 A noncrossing graph is one m-partite noncrossing pairing, decoded from its
-out-degrees.  ``pluecker_step`` keeps the slot-level step.
+out-degrees.  ``pluecker_step`` is one such resolution on a monomial's
+slots, each chord an edge of multiplicity 1.
 
 The ``json_*`` readers check the fields of the one JSON document a command
 reads, the bracket expression file of ``rewrite``: a missing field or a
@@ -162,11 +163,6 @@ def _chords(m: int, d: int, chords) -> tuple[tuple[int, int], ...]:
     return chords
 
 
-def _count(chords) -> int:
-    """Number of crossing chord pairs of canonical ``chords``."""
-    return sum(1 for _ in crossing_quads(chords))
-
-
 class BracketMonomial(Value):
     """A signed product of brackets: chords on [md], each symbol in d slots."""
 
@@ -181,7 +177,7 @@ class BracketMonomial(Value):
         self._store(m, d, _chords(m, d, chords), sign)
 
     def crossing_count(self) -> int:
-        return _count(self.chords)
+        return _graph_count((self.chords, (1,) * len(self.chords)))
 
     def is_noncrossing(self) -> bool:
         return next(crossing_quads(self.chords), None) is None
@@ -307,27 +303,14 @@ class BracketExpression(Value):
         return cls(m, d, terms)
 
 
-def _recount(count, resolved, quad, before: int) -> tuple[tuple, int]:
-    """(resolved, count(resolved)); raises, also under ``python -O``, unless
-    resolving ``quad`` left fewer than ``before`` crossings."""
-    left = count(resolved)
+def _recount(resolved, quad, before: int) -> tuple[tuple, int]:
+    """(resolved, its crossing number); raises, also under ``python -O``,
+    unless resolving ``quad`` left fewer than ``before`` crossings."""
+    left = _graph_count(resolved)
     if left >= before:
         raise RuntimeError(f"rewriting would not terminate: resolving {quad} left "
                            f"{left} crossings, not fewer than {before}")
     return resolved, left
-
-
-def _resolve_crossing(m: int, d: int, chords, quad, before: int) -> list[tuple[tuple, int]]:
-    """Both crossing resolutions of quad = (i, i', j, j') in ``chords``, which
-    have ``before`` crossings; a resolution whose new chord falls inside one
-    symbol is a vanishing bracket and is dropped.  Returns (resolved, left),
-    left being the crossing count, for each surviving chord tuple
-    (coefficient +1); raises unless left < before."""
-    i, ii, j, jj = quad
-    rest = tuple(ch for ch in chords if ch not in ((i, j), (ii, jj)))
-    return [_recount(_count, tuple(sorted(rest + new_pair)), quad, before)
-            for new_pair in (((i, ii), (j, jj)), ((i, jj), (ii, j)))
-            if all(window_of(p, d) != window_of(q, d) for p, q in new_pair)]
 
 
 def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
@@ -335,13 +318,19 @@ def pluecker_step(b: BracketMonomial) -> BracketExpression | None:
     when b is already noncrossing.
 
     The crossing {i,j},{i',j'} with i<i'<j<j' becomes {i,i'},{j,j'} plus
-    {i,j'},{i',j}; a resolution chord inside one symbol vanishes.
+    {i,j'},{i',j}: ``_resolve_graph`` on b's chords, taken as a multigraph
+    on slots with every multiplicity 1.  A resolution with a chord inside
+    one symbol is a vanishing bracket and is dropped.
     """
     quad = next(crossing_quads(b.chords), None)
     if quad is None:
         return None
-    resolved = _resolve_crossing(b.m, b.d, b.chords, quad, _count(b.chords))
-    return BracketExpression._trusted(b.m, b.d, {chords: b.sign for chords, _ in resolved})
+    graph = b.chords, (1,) * len(b.chords)
+    terms = {}
+    for (chords, _mults), _left in _resolve_graph(graph, quad, _graph_count(graph)):
+        if all(window_of(p, b.d) != window_of(q, b.d) for p, q in chords):
+            terms[chords] = b.sign
+    return BracketExpression._trusted(b.m, b.d, terms)
 
 
 def _graph_count(graph) -> int:
@@ -354,8 +343,9 @@ def _graph_count(graph) -> int:
 
 def _resolve_graph(graph, quad, before: int) -> list[tuple[tuple, int]]:
     """(resolved, left) for {a,b},{c,e} and for {a,e},{b,c}, the resolutions
-    of the crossing quad = (a, b, c, e) of ``graph``; as in
-    ``_resolve_crossing``, but neither can vanish."""
+    of the crossing quad = (a, b, c, e) of ``graph``, which has ``before``
+    crossings; left is the recounted crossing number, and a count that does
+    not drop raises."""
     a, b, c, e = quad
     rest = dict(zip(*graph))
     rest[a, c] -= 1
@@ -366,7 +356,7 @@ def _resolve_graph(graph, quad, before: int) -> list[tuple[tuple, int]]:
         for edge in new_edges:
             mult[edge] = mult.get(edge, 0) + 1
         resolved = tuple(zip(*sorted(filter(itemgetter(1), mult.items()))))
-        out.append(_recount(_graph_count, resolved, quad, before))
+        out.append(_recount(resolved, quad, before))
     return out
 
 

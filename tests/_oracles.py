@@ -208,6 +208,17 @@ def identity(size: int):
     return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
 
 
+def chebyshev_u(n: int) -> tuple[int, ...]:
+    """Ascending integer coefficients of the dilated Chebyshev polynomial of
+    the second kind, by its recursion U_0 = 1, U_1 = x, U_n = x U_(n-1) -
+    U_(n-2), so that U_n(2cos t) = sin((n+1)t)/sin t.  The tests compare
+    ``hilbert.dims_by_chebyshev`` with the semicircle moments of its powers."""
+    prev, cur = (), (1,)  # U_(-1) = 0 starts the recursion
+    for _ in range(n):
+        prev, cur = cur, tuple(map(operator.sub, (0, *cur), (*prev, 0, 0)))
+    return cur
+
+
 def unfolded_quadrature(d: int, max_m: int, nodes: int) -> tuple:
     """The Molien integral (2/pi) Int_0^pi (sin((d+1)x)/sin x)^m sin^2 x dx
     for m = 0..max_m by the composite three-point Gauss rule on all `nodes`

@@ -19,7 +19,6 @@ from ncinv.brackets import (
     VanishingBracketError,
     _decode_leading_word,
     _iter_nc_matchings,
-    _resolve_crossing,
     _resolve_graph,
     crossing_quads,
     from_pairs,
@@ -449,13 +448,17 @@ class TestDecode:
 class TestTerminationCheck:
     @pytest.mark.parametrize("m, d", [(4, 2), (3, 3), (8, 1), (2, 4)])
     def test_every_resolution_lowers_the_recounted_crossings(self, m, d):
-        # The returned count is the level a resolution goes to; check it
-        # against the brute count, for every crossing (not only the first).
+        # The slot-level step resolves a monomial's chords as a multigraph
+        # with every multiplicity 1.  The returned count is the level a
+        # resolution goes to; check it against the brute count, for every
+        # crossing (not only the first).
         for mono in all_monomials(m, d):
             before = brute_crossing_quadruples(mono.chords)
+            graph = mono.chords, (1,) * len(mono.chords)
             for quad in crossing_quads(mono.chords):
-                for resolved, left in _resolve_crossing(m, d, mono.chords, quad, before):
-                    assert left == brute_crossing_quadruples(resolved) < before
+                for (chords, mults), left in _resolve_graph(graph, quad, before):
+                    assert set(mults) == {1}
+                    assert left == brute_crossing_quadruples(chords) < before
 
     @pytest.mark.parametrize("m, d", [(4, 2), (3, 3), (8, 1), (2, 4)])
     def test_every_graph_resolution_lowers_the_recounted_crossings(self, m, d):
@@ -477,9 +480,8 @@ class TestTerminationCheck:
         # Make every crossing count read the same, so no resolution can
         # lower it; the check must still fire with asserts stripped by -O.
         out = run_optimized(
-            "brackets._count = lambda chords: 7\n"
-            "chords = ((1, 3), (2, 4))\n"
-            "brackets._resolve_crossing(4, 1, chords, (1, 2, 3, 4), brackets._count(chords))\n"
+            "brackets._graph_count = lambda graph: 7\n"
+            "brackets.pluecker_step(brackets.BracketMonomial(4, 1, ((1, 3), (2, 4)), 1))\n"
         )
         assert "raised: rewriting would not terminate" in out
 

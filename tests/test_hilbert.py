@@ -9,7 +9,6 @@ from ncinv.freeprob import CumulantSequence, psi_mixed_moment
 from ncinv.hilbert import (
     QUADRATURE_TOL,
     MethodComparison,
-    chebyshev_poly,
     compare_methods,
     dims_by_chebyshev,
     dims_by_enumeration,
@@ -18,7 +17,7 @@ from ncinv.hilbert import (
 )
 from ncinv.partitions import catalan
 
-from _oracles import listed_folded_quadrature, unfolded_quadrature
+from _oracles import chebyshev_u, listed_folded_quadrature, unfolded_quadrature
 
 
 def horner(coeffs, x):
@@ -40,28 +39,29 @@ def times(p, q):
 
 class TestChebyshev:
     def test_base_cases(self):
-        assert chebyshev_poly(0) == (1,)
-        assert chebyshev_poly(1) == (0, 1)
-        assert chebyshev_poly(2) == (-1, 0, 1)
-        assert chebyshev_poly(3) == (0, -2, 0, 1)
+        assert chebyshev_u(0) == (1,)
+        assert chebyshev_u(1) == (0, 1)
+        assert chebyshev_u(2) == (-1, 0, 1)
+        assert chebyshev_u(3) == (0, -2, 0, 1)
 
     def test_recursion(self):
         for n in range(2, 11):
-            pairs = zip_longest(times((0, 1), chebyshev_poly(n - 1)), chebyshev_poly(n - 2),
+            pairs = zip_longest(times((0, 1), chebyshev_u(n - 1)), chebyshev_u(n - 2),
                                 fillvalue=0)
-            assert chebyshev_poly(n) == tuple(a - b for a, b in pairs)
-            assert chebyshev_poly(n)[-1] == 1  # degree n, no trailing zeros
+            assert chebyshev_u(n) == tuple(a - b for a, b in pairs)
+            assert chebyshev_u(n)[-1] == 1  # degree n, no trailing zeros
 
     def test_trigonometric_identity(self):
         for n in range(7):
-            u = chebyshev_poly(n)
+            u = chebyshev_u(n)
             for theta in (0.3, 1.1, 2.4):
                 want = math.sin((n + 1) * theta) / math.sin(theta)
                 assert abs(horner(u, 2 * math.cos(theta)) - want) < 1e-9
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            chebyshev_poly(-1)
+        for d, max_m in ((-1, 3), (3, -1)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                dims_by_chebyshev(d, max_m)
 
 
 class TestExactSeries:
@@ -78,9 +78,10 @@ class TestExactSeries:
         assert dims_by_chebyshev(3, 2).dims[2] == 1
 
     def test_chebyshev_matches_expansion_by_catalan(self):
-        # The route grows its own Catalan numbers; expand here with catalan().
+        # The semicircle moments of U_d(x)^m: the moment of order 2n is the
+        # Catalan number C_n, the odd ones vanish.
         for d in range(7):
-            u, power, want = chebyshev_poly(d), (1,), []
+            u, power, want = chebyshev_u(d), (1,), []
             for _m in range(41):
                 want.append(sum(c * catalan(k // 2) for k, c in enumerate(power)
                                 if k % 2 == 0))
@@ -90,8 +91,14 @@ class TestExactSeries:
     def test_methods_agree(self):
         for d in range(9):
             assert dims_by_enumeration(d, 24).dims == dims_by_chebyshev(d, 24).dims, d
-        for d, max_m in ((255, 2), (4, 100), (2, 300), (50, 20)):
+        for d, max_m in ((255, 2), (4, 100), (2, 300), (50, 20), (60, 60)):
             assert dims_by_enumeration(d, max_m).dims == dims_by_chebyshev(d, max_m).dims, d
+
+    def test_chebyshev_rows_of_degree_one_are_catalan(self):
+        # dims[2n] counts the noncrossing pairings of [2n]; no odd row pairs.
+        dims = dims_by_chebyshev(1, 2000).dims
+        assert dims[::2] == tuple(catalan(n) for n in range(1001))
+        assert set(dims[1::2]) == {0}
 
     def test_enumeration_equals_the_semicircle_psi_moments(self):
         for d in range(1, 7):
