@@ -4,9 +4,9 @@ For fixed form degree d, dims[m] is the dimension of the degree-m invariant
 space: the number of m-partite noncrossing pairings of [md].  The three
 routes are
 
-  enumeration  -- follow the height of the stack of open chords window
-                  by window, one pass for every m (exact integers; the
-                  column ``ncinv dim`` reads),
+  enumeration  -- the height of the stack of open chords, window by
+                  window: Clebsch-Gordan window sums over one prefix sum
+                  (exact integers; the column ``ncinv dim`` reads),
   chebyshev    -- Weyl's constant term: on the unit circle z = e^(ix),
                   U_d(z + 1/z) = z^-d + z^(2-d) + ... + z^d, and dims[m]
                   is c_0 - c_2, read off the Laurent coefficients of
@@ -48,28 +48,28 @@ def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
     each one opens a chord or closes the most recent open one.  A chord may
     not close against an opener of its own window, so each window first
     closes c <= min(h, d) chords opened in earlier windows and then opens
-    d - c, taking the stack from height h to h + d - 2c.  dims[m] is the
-    number of height paths from 0 back to 0 over m windows, read off after
-    window m.  A path higher than the windows left before max_m can close is
-    dropped; one that returns to 0 at an earlier window was never that high,
-    so every entry is exact.  O(max_m^2 d^2) exact integer additions.
+    d - c: the stack goes from height h to each h' = h + d - 2c, as in the
+    Clebsch-Gordan rule for V_h (x) V_d (Fulton and Harris, Representation
+    Theory, Lecture 11).  So the paths at h' sum those at |h' - d|, ..., h' + d
+    in steps of 2: one difference of a stride-2 prefix sum.  dims[m] counts the
+    height paths from 0 back to 0 over m windows.  A path higher than the
+    windows left before max_m can close is dropped; one that returns to 0
+    earlier was never that high, so every entry is exact.  O(max_m^2 d) additions.
 
     >>> dims_by_enumeration(2, 8).dims
     (1, 0, 1, 1, 3, 6, 15, 36, 91)
     """
     if d < 0 or max_m < 0:
         raise ValueError("d and max_m must be nonnegative")
-    ways, dims = {0: 1}, [1]
+    ways, dims = [1], [1]  # ways[h]: the paths at stack height h
     for window in range(max_m):
         room = (max_m - window - 1) * d  # openers the later windows can still close
-        step: dict[int, int] = {}
-        for h, count in ways.items():
-            for c in range(min(h, d) + 1):
-                height = h + d - 2 * c
-                if height <= room:
-                    step[height] = step.get(height, 0) + count
-        ways = step
-        dims.append(ways.get(0, 0))
+        top = min(room, len(ways) - 1 + d)
+        sums = [0, 0]  # sums[h + 2] = ways[h] + ways[h - 2] + ...
+        for count in ways + [0] * (top + d + 1 - len(ways)):
+            sums.append(sums[-2] + count)
+        ways = [sums[h + d + 2] - sums[abs(h - d)] for h in range(top + 1)]
+        dims.append(ways[0])
     return DimensionSeries(d, tuple(dims))
 
 

@@ -219,6 +219,27 @@ def chebyshev_u(n: int) -> tuple[int, ...]:
     return cur
 
 
+def closed_chord_transfer(d: int, max_m: int) -> tuple[int, ...]:
+    """dims[0..max_m] by the stack-height transfer as it first ran, one closed
+    chord count at a time: each window closes c <= min(h, d) chords opened in
+    earlier windows and opens d - c, so height h goes to h + d - 2c, and paths
+    higher than the later windows can close are dropped.  The tests compare
+    ``hilbert.dims_by_enumeration``, which sums each Clebsch-Gordan window
+    over a prefix sum, with it.  O(max_m^2 d^2) additions."""
+    ways, dims = {0: 1}, [1]
+    for window in range(max_m):
+        room = (max_m - window - 1) * d
+        step: dict[int, int] = {}
+        for h, count in ways.items():
+            for c in range(min(h, d) + 1):
+                height = h + d - 2 * c
+                if height <= room:
+                    step[height] = step.get(height, 0) + count
+        ways = step
+        dims.append(ways.get(0, 0))
+    return tuple(dims)
+
+
 def unfolded_quadrature(d: int, max_m: int, nodes: int) -> tuple:
     """The Molien integral (2/pi) Int_0^pi (sin((d+1)x)/sin x)^m sin^2 x dx
     for m = 0..max_m by the composite three-point Gauss rule on all `nodes`

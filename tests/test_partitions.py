@@ -30,6 +30,7 @@ from _oracles import (
     brute_crossing_quadruples,
     brute_is_noncrossing,
     brute_moebius,
+    closed_chord_transfer,
     nc_perfect_matchings,
 )
 
@@ -285,6 +286,21 @@ class TestTransferCount:
             dims_by_enumeration(2, -1)
         with pytest.raises(ValueError, match="d and max_m must be nonnegative"):
             dims_by_enumeration(-1, 2)
+
+    def test_matches_the_closed_chord_transfer(self):
+        # The window sums over a prefix sum count what closing c chords at a
+        # time counted, pruning included.
+        for d in range(9):
+            for max_m in range(25):
+                want = closed_chord_transfer(d, max_m)
+                assert dims_by_enumeration(d, max_m).dims == want, (d, max_m)
+        assert dims_by_enumeration(60, 60).dims == closed_chord_transfer(60, 60)
+
+    def test_four_windows_of_a_large_degree(self):
+        # Rows 0-4 are 1, 0, 1, then 1 or 0 by the parity of d, then d + 1:
+        # sizes the closed chord transfer, at O(max_m^2 d^2), takes minutes for.
+        assert dims_by_enumeration(100000, 4).dims == (1, 0, 1, 1, 100001)
+        assert dims_by_enumeration(100001, 4).dims == (1, 0, 1, 0, 100002)
 
     def test_a_row_is_a_prefix_of_every_longer_one(self):
         # The pruning counts room against max_m; it must drop no path that
