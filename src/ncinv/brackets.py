@@ -366,11 +366,14 @@ def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> 
     ``levels[k]`` holds the window multigraphs with k crossings, input terms
     with one graph summed and each input graph counted once.  From the top
     down, each graph is resolved once, on its merged coefficient, at the
-    first crossing ``crossing_quads`` yields on its distinct edges ("lex") or
-    at a random one from ``rng`` ("random", to check that the normal form
-    does not depend on the choice).  Each resolution is recounted, and a
-    count that does not drop raises, also under ``python -O``.  The graphs
-    left on ``levels[0]`` decode to the normal form.
+    innermost crossing (a, b, c, e) of its distinct edges, the largest a,
+    then the smallest e, then the largest b ("lex"), or at a random one from
+    ``rng`` ("random", to check that the normal form does not depend on the
+    choice).  Inner crossings first reach fewer graphs than the first
+    crossing in ``crossing_quads`` order: 1443 against 2398 for the (10, 2)
+    shift.  Each resolution is recounted, and a count that does not drop
+    raises, also under ``python -O``.  The graphs left on ``levels[0]``
+    decode to the normal form.
     """
     if strategy not in ("lex", "random") or strategy == "random" and rng is None:
         raise ValueError("strategy must be 'lex', or 'random' with an rng; "
@@ -389,7 +392,10 @@ def to_noncrossing(e: BracketExpression, *, strategy: str = "lex", rng=None) -> 
             if not coeff:
                 continue
             quads = crossing_quads(graph[0])
-            quad = next(quads) if strategy == "lex" else rng.choice(list(quads))
+            if strategy == "lex":
+                quad = max(quads, key=lambda q: (q[0], -q[3], q[1]))
+            else:
+                quad = rng.choice(list(quads))
             for resolved, left in _resolve_graph(graph, quad, before):
                 level = levels.setdefault(left, {})
                 level[resolved] = level.get(resolved, 0) + coeff

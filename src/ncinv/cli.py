@@ -4,7 +4,8 @@ Subcommands: dim, basis, hilbert, rewrite, verify, moments.  Exit codes:
 0 success, 1 verification failure, 2 usage or data error.  Rational values
 print as "p/q" strings; only quadrature columns print decimals, at the
 precision set by --precision.  Each handler imports the layers it runs, and
-json only where it reads or writes JSON, so a command loads no others.
+json only where it reads JSON or dumps a document (basis builds its own
+JSON text), so a command loads no others.
 """
 
 from __future__ import annotations
@@ -122,15 +123,13 @@ def _cmd_basis(args) -> int:
     # One element at a time: each is written before the next is built.
     basis = iter_noncrossing_basis(args.m, args.d)
     if args.format == "json":
-        import json
-
         # Element by element, as json.dumps of the whole list would print it.
         out = sys.stdout
         out.write("[")
         for i, poly in enumerate(basis):
             if i:
                 out.write(", ")
-            out.write(json.dumps(poly.to_json_dict()))
+            out.write(poly.to_json())
         out.write("]\n")
     else:
         for poly in basis:

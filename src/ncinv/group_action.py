@@ -10,8 +10,10 @@ M_d(g^{-1}).
 Invariance is proved exactly, without sampling: a polynomial is fixed by
 all of SL(2, Q) iff every word has letter sum md/2 and the raising shear,
 acting on its letters as a derivation, annihilates it (see
-``is_invariant``).  Explicit group elements ("witnesses") can still be
-applied through ``act`` as a cross-check.  All arithmetic is exact.
+``is_invariant``).  The derivation runs on words packed into one integer
+each, as restitution packs them, so raising a letter is one addition.
+Explicit group elements ("witnesses") can still be applied through ``act``
+as a cross-check.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from ._rational import exact
 from ._value import Value
-from .symbolic import NcPolynomial
+from .symbolic import NcPolynomial, _letter_width, _unpack
 
 
 class GroupElement(Value):
@@ -131,16 +134,23 @@ def _raising_image(poly: NcPolynomial) -> dict:
     and c = 0 in ``sym_power``: only r = j survives and, to first order in
     t, M[k][k+1] = binom(d-k,1) t = (d-k) t.  So N_+ is the derivation
     a_k -> (d-k) a_(k+1): a word maps to at most m words, with integer weights.
+
+    Each word is packed into one integer as restitution packs it, first
+    letter highest, so raising letter i adds its place value; a letter below
+    d never carries into the next.  Only the nonzero survivors are unpacked.
     """
-    d = poly.d
+    d, m = poly.d, poly.m
+    width = _letter_width(d)
+    place = [1 << (8 * width * (m - 1 - i)) for i in range(m)]
     image = {}
     get = image.get
     for word, c in poly.terms.items():
-        for i, k in enumerate(word):
+        key = int.from_bytes(bytes(word), "big") if width == 1 else sum(map(mul, word, place))
+        for at, k in zip(place, word):
             if k < d:
-                new = word[:i] + (k + 1,) + word[i + 1:]
+                new = key + at
                 image[new] = get(new, 0) + c * (d - k)
-    return {word: c for word, c in image.items() if c}
+    return _unpack(d, m, image, 1).terms
 
 
 def is_invariant(poly: NcPolynomial, witnesses=None) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from operator import mul, sub
 
 from ._value import Value
@@ -50,26 +50,29 @@ def dims_by_enumeration(d: int, max_m: int) -> DimensionSeries:
     closes c <= min(h, d) chords opened in earlier windows and then opens
     d - c: the stack goes from height h to each h' = h + d - 2c, as in the
     Clebsch-Gordan rule for V_h (x) V_d (Fulton and Harris, Representation
-    Theory, Lecture 11).  So the paths at h' sum those at |h' - d|, ..., h' + d
-    in steps of 2: one difference of a stride-2 prefix sum.  dims[m] counts the
-    height paths from 0 back to 0 over m windows.  A path higher than the
-    windows left before max_m can close is dropped; one that returns to 0
-    earlier was never that high, so every entry is exact.  O(max_m^2 d) additions.
+    Theory, Lecture 11).  After w windows every height is of the parity of
+    wd, so only that class is kept, and the paths at h' sum those at
+    |h' - d|, ..., h' + d: one difference of the class's prefix sum.  dims[m]
+    counts the height paths from 0 back to 0 over m windows.  A path higher
+    than the windows left before max_m can close is dropped; one that
+    returns to 0 earlier was never that high, so every entry is exact.
+    O(max_m^2 d) additions.
 
     >>> dims_by_enumeration(2, 8).dims
     (1, 0, 1, 1, 3, 6, 15, 36, 91)
     """
     if d < 0 or max_m < 0:
         raise ValueError("d and max_m must be nonnegative")
-    ways, dims = [1], [1]  # ways[h]: the paths at stack height h
+    ways, dims = [1], [1]  # ways[h // 2]: the paths at stack height h
     for window in range(max_m):
         room = (max_m - window - 1) * d  # openers the later windows can still close
-        top = min(room, len(ways) - 1 + d)
-        sums = [0, 0]  # sums[h + 2] = ways[h] + ways[h - 2] + ...
-        for count in ways + [0] * (top + d + 1 - len(ways)):
-            sums.append(sums[-2] + count)
-        ways = [sums[h + d + 2] - sums[abs(h - d)] for h in range(top + 1)]
-        dims.append(ways[0])
+        top = min(room, 2 * len(ways) - 2 + window * d % 2 + d)
+        # sums[i] = ways[0] + ... + ways[i - 1], constant past the last height
+        tail = repeat(0, (top + d) // 2 + 1 - len(ways))
+        sums = list(accumulate(chain(ways, tail), initial=0))
+        low = (window + 1) * d % 2
+        ways = [sums[(h + d) // 2 + 1] - sums[abs(h - d) // 2] for h in range(low, top + 1, 2)]
+        dims.append(0 if low else ways[0])
     return DimensionSeries(d, tuple(dims))
 
 

@@ -1,9 +1,10 @@
 """Noncommutative polynomials in a_0..a_d and the symbol/restitution map.
 
 Words are tuples of letter indices (0-based, length m); coefficients are
-ints, or Fractions where a rational input or a division makes one.  Only
-restitution's inner loop packs a word into one integer, a fixed number of
-bytes per letter; no other module sees that format.
+ints, or Fractions where a rational input or a division makes one.
+Restitution's inner loop packs a word into one integer, a fixed number of
+bytes per letter (``_letter_width``), and so does the N_+ certificate in
+``group_action``; ``_unpack`` turns the packed terms back into words.
 
 The letter order a_d > a_(d-1) > ... > a_0 makes the lexicographically
 greatest word of a polynomial its leading term, which is how linear
@@ -93,6 +94,16 @@ class NcPolynomial(Value):
             else:
                 parts.append(f"-{body}" if negative else body)
         return " ".join(parts)
+
+    def to_json(self) -> str:
+        """The text of json.dumps(self.to_json_dict()), built one term at a
+        time with no dict per term: words and coefficients hold nothing to
+        escape."""
+        digits = [str(k) for k in range(self.d + 1)]
+        terms = ", ".join([f'{{"word": [{", ".join([digits[k] for k in word])}], '
+                           f'"coeff": "{self.terms[word]}"}}'
+                           for word in sorted(self.terms, reverse=True)])
+        return f'{{"d": {self.d}, "m": {self.m}, "terms": [{terms}]}}'
 
     def to_json_dict(self) -> dict:
         return {

@@ -299,3 +299,18 @@ def listed_folded_quadrature(d: int, max_m: int, nodes: int) -> tuple:
         bounds.append((m * (d + 1) + 3) * sys.float_info.epsilon * size * 2.0 / math.pi)
         powers = list(map(operator.mul, powers, ratios))
     return tuple(out), tuple(bounds)
+
+
+def tuple_raising_image(poly) -> dict:
+    """The raising shear N_+: a_k -> (d-k) a_(k+1), applied as a derivation
+    to ``poly.terms`` on tuple words, zero terms dropped: the loop
+    ``group_action._raising_image`` ran before it packed each word into one
+    integer.  The tests compare the packed loop with it."""
+    d = poly.d
+    image = {}
+    for word, c in poly.terms.items():
+        for i, k in enumerate(word):
+            if k < d:
+                new = word[:i] + (k + 1,) + word[i + 1:]
+                image[new] = image.get(new, 0) + c * (d - k)
+    return {word: c for word, c in image.items() if c}

@@ -246,7 +246,7 @@ class TestToNoncrossing:
         shift = BracketMonomial(10, 2, tuple((i, i + 10) for i in range(1, 11)), 1)
         out = to_noncrossing(BracketExpression.from_monomial(shift))
         assert out.is_noncrossing() and len(out) == 603
-        assert len(resolved) == len(set(resolved)) == 2398
+        assert len(resolved) == len(set(resolved)) == 1443
 
     def test_each_input_term_counted_once(self, monkeypatch):
         # Placing a term on its level counts its graph's crossings, and a

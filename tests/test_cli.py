@@ -74,11 +74,16 @@ class TestBasis:
         assert len(data) == 3
         assert all(entry["d"] == 2 and entry["m"] == 4 for entry in data)
 
-    @pytest.mark.parametrize("m", [0, 2, 4])
-    def test_json_streamed_as_one_dump(self, capsys, m):
-        code, out, _ = run_cli(capsys, "basis", "--d", "2", "--m", str(m), "--format", "json")
+    # d = 2 keeps the ids "0", "2" and "4" of the runs at m = 0, 2 and 4.
+    @pytest.mark.parametrize("d, m", [(2, 0), (2, 2), (2, 4), (1, 6), (3, 4), (3, 3),
+                                      (10, 2), (10, 3), (256, 2)],
+                             ids=["0", "2", "4", "d1-m6", "d3-m4", "d3-m3", "d10-m2", "d10-m3",
+                                  "d256-m2"])
+    def test_json_streamed_as_one_dump(self, capsys, d, m):
+        # Written term by term, with no tree built, as json.dumps of the list.
+        code, out, _ = run_cli(capsys, "basis", "--d", str(d), "--m", str(m), "--format", "json")
         assert code == 0
-        whole = json.dumps([poly.to_json_dict() for poly in noncrossing_basis(m, 2)])
+        whole = json.dumps([poly.to_json_dict() for poly in noncrossing_basis(m, d)])
         assert out == whole + "\n"
 
 

@@ -25,7 +25,7 @@ from ncinv.group_action import (
 )
 from ncinv.symbolic import NcPolynomial, leading_term, noncrossing_basis
 
-from _oracles import apply, identity, matmul
+from _oracles import apply, identity, matmul, tuple_raising_image
 
 IDENTITY = GroupElement(1, 0, 0, 1)
 
@@ -301,6 +301,30 @@ class TestCertificate:
                          (2, 0): Fraction(-3, 4)}
         assert _raising_image(NcPolynomial(2, 2, {(0, 0): Fraction(1, 2)})) == {
             (1, 0): 1, (0, 1): 1}
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 255, 256])
+    def test_packed_image_matches_tuple_oracle(self, d):
+        # Words are packed _letter_width(d) bytes per letter: d = 255 fills
+        # one byte, and at d = 256 raising 255 carries inside a two-byte
+        # letter but never into the next one.
+        rng = random.Random(d)
+        letters = sorted({k for k in (0, 1, d // 2, d - 1, d, 254, 255) if k <= d})
+        polys = [poly for m in ((2, 4) if d < 4 else (2,)) for poly in noncrossing_basis(m, d)]
+        for m in (1, 2, 3, 5):
+            for _ in range(20):
+                terms = {}
+                for _ in range(rng.randint(1, 6)):
+                    word = tuple(rng.choice(letters) for _ in range(m))
+                    terms[word] = (rng.randint(-3, 3) if rng.random() < 0.5
+                                   else Fraction(rng.randint(-5, 5), rng.randint(2, 4)))
+                polys.append(NcPolynomial(d, m, terms))
+        raised = 0
+        for poly in polys:
+            image = _raising_image(poly)
+            assert image == tuple_raising_image(poly)
+            assert all(c and type(c) in (int, Fraction) for c in image.values())
+            raised += bool(image) and any(isinstance(c, Fraction) for c in poly.terms.values())
+        assert raised >= 20  # non-invariant inputs with Fraction coefficients and an image
 
     @pytest.mark.parametrize("m, d", [(2, 1), (2, 2), (2, 3), (4, 2), (1, 1), (3, 1), (3, 3), (5, 1)])
     def test_weight_check_is_needed(self, m, d):

@@ -94,7 +94,7 @@ def test_subcommand_loads_its_layers_only(tmp_path, argv, layers):
      True),
     (["rewrite", "EXPRESSION"], True),
     (["basis", "--d", "2", "--m", "4"], False),
-    (["basis", "--d", "2", "--m", "4", "--format", "json"], True),
+    (["basis", "--d", "2", "--m", "4", "--format", "json"], False),
     (["verify", "--d", "2", "--m", "4", "--witnesses", "1"], False),
 ], ids=["dim", "moments", "hilbert-chebyshev", "hilbert-quadrature", "hilbert-enumeration-csv",
         "hilbert-all", "hilbert-all-json", "hilbert-chebyshev-json", "rewrite", "basis",

@@ -8,7 +8,9 @@ file), the benchmark's exact CLI jobs at seed 1 (no cache flag; the
 requests, ``rewrite`` of one crossing expression whose coefficient is
 written as a JSON integer and as four strings, and ``rewrite`` of the
 (m, d) = (10, 2) shift pairing and of two multi-term rational files at
-d = 3 and d = 4.  No command prints a
+d = 3 and d = 4, and ``basis --format json`` with letters of two digits
+(d = 10) and of two packed bytes (d = 256, with ``verify``), with no
+element and with the empty word.  No command prints a
 quadrature column: its last digits depend on the platform's libm.  Run as a
 script to print the table anew.
 """
@@ -105,6 +107,16 @@ PINS = [
      '6f40e509c2b408a498ec73114ba8c1fa71d9c472c61199d9229f404f37dfe087', 0),
     ('rewrite mixed-5-4.json',
      '1a0be56cfe9fa8fc60a42f15514a0ed472f17ce7392ee84960476c59b3baba24', 0),
+    ('basis --d 10 --m 2 --format json',
+     '8ded13fd52552049c5709678e136f45334720b0ce904dfe865b66995e7481da3', 0),
+    ('basis --d 256 --m 2 --format json',
+     '2f23c1201614730fc450089458b31afd41c68845ab0fda360a48865d4b15401b', 0),
+    ('verify --d 256 --m 2',
+     '95d3c747490169f3deeaf681f49c2e18a72368394909d0aada6c28c928484842', 0),
+    ('basis --d 3 --m 3 --format json',
+     '37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570', 0),
+    ('basis --d 2 --m 0 --format json',
+     'a191c95558ca0926b9f40badb605dc55a2060f2000079032d3122eaa28f2f741', 0),
 ]
 
 # The coefficient of the inline ``rewrite`` files, as written in the JSON.
