@@ -33,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
-from ._rational import exact
+from ._rational import MAX_DIGITS, exact
 from ._value import Value
 
 
@@ -212,8 +212,22 @@ def json_list(data, key: str) -> list:
     return value
 
 
+class _LongInteger(str):
+    """A JSON integer literal of more than MAX_DIGITS digits, kept as text."""
+
+
+def json_integer(text: str) -> int | str:
+    """The value of a JSON integer literal, for ``json.load(...,
+    parse_int=json_integer)``: an int, or past MAX_DIGITS digits the text
+    itself, which ``json_int`` and ``json_rational`` refuse naming their
+    field."""
+    return int(text) if len(text) <= MAX_DIGITS else _LongInteger(text)
+
+
 def json_int(value, what: str) -> int:
     """A JSON integer; booleans and floats are refused."""
+    if isinstance(value, _LongInteger):
+        value = exact(value, what)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
     return value

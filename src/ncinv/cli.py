@@ -186,11 +186,11 @@ def _cmd_hilbert(args) -> int:
 def _cmd_rewrite(args) -> int:
     import json
 
-    from .brackets import BracketExpression, to_noncrossing
+    from .brackets import BracketExpression, json_integer, to_noncrossing
 
     with open(args.expression_file, encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=json_integer)
         except RecursionError:
             raise ValueError("JSON nesting is too deep to parse") from None
     expr = BracketExpression.from_json_dict(data)
@@ -236,6 +236,12 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact results print in full: lift CPython's limit on int-to-text
+    # conversion for the command (the limit and its API came in 3.10.7).
+    # Numbers read from text keep their limit in parse_rational.
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit(0)
     try:
         return _HANDLERS[args.command](args)
     except ValueError as exc:
@@ -248,6 +254,8 @@ def main(argv=None) -> int:
             message += f": {reprlib.repr(exc.filename)}"
         print(f"error: {message}", file=sys.stderr)
         return 2
+    finally:
+        set_limit(limit)
 
 
 def run() -> None:

@@ -10,10 +10,11 @@ M_d(g^{-1}).
 Invariance is proved exactly, without sampling: a polynomial is fixed by
 all of SL(2, Q) iff every word has letter sum md/2 and the raising shear,
 acting on its letters as a derivation, annihilates it (see
-``is_invariant``).  The derivation runs on words packed into one integer
-each, as restitution packs them, so raising a letter is one addition.
-Explicit group elements ("witnesses") can still be applied through ``act``
-as a cross-check.  All arithmetic is exact.
+``is_invariant``).  Explicit group elements ("witnesses") can still be
+applied through ``act`` as a cross-check.  Both run on the packed words an
+``NcPolynomial`` stores (see ``symbolic``): setting letter i from k to j adds
+(j - k) times its place value, so neither builds a tuple word.  All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
-from operator import mul
 
 from ._rational import exact
 from ._value import Value
-from .symbolic import NcPolynomial, _letter_width, _unpack
+from .symbolic import NcPolynomial, _letters, _nonzero, _places
 
 
 class GroupElement(Value):
@@ -79,28 +79,28 @@ def act(g: GroupElement, poly: NcPolynomial) -> NcPolynomial:
 
     Each letter a_k becomes sum_j M_d(g^{-1})[k][j] a_j; the substitution is
     applied one word position at a time, merging coefficients and dropping
-    the words that cancel before the next position expands them.
+    the words that cancel before the next position expands them.  On a
+    packed word, setting the letter at a position from k to j adds (j - k)
+    times that position's place value.
     """
     if poly.m == 0:
         return poly
     rows = sym_power(g.inverse(), poly.d)
-    size = poly.d + 1
-    terms = dict(poly.terms)
-    for pos in range(poly.m):
-        nxt: dict[tuple[int, ...], int | Fraction] = {}
-        for word, coeff in terms.items():
-            k = word[pos]
-            row = rows[k]
-            for j in range(size):
-                weight = row[j]
-                if not weight:
-                    continue
-                new_word = word[:pos] + (j,) + word[pos + 1:]
-                acc = nxt.get(new_word)
+    letters = _letters(poly.d, poly.m)
+    packed = poly._packed
+    for pos, place in enumerate(_places(poly.d, poly.m)):
+        steps = [[((j - k) * place, w) for j, w in enumerate(row) if w]
+                 for k, row in enumerate(rows)]
+        nxt: dict[int, int | Fraction] = {}
+        get = nxt.get
+        for key, coeff in packed.items():
+            for step, weight in steps[letters(key)[pos]]:
+                new = key + step
+                acc = get(new)
                 # Weight on the left: int * Fraction takes the slower reflected path.
-                nxt[new_word] = weight * coeff if acc is None else acc + weight * coeff
-        terms = {word: c for word, c in nxt.items() if c}
-    return NcPolynomial(poly.d, poly.m, terms)
+                nxt[new] = weight * coeff if acc is None else acc + weight * coeff
+        packed = {key: c for key, c in nxt.items() if c}
+    return NcPolynomial._trusted(poly.d, poly.m, packed)
 
 
 def random_group_element(rng: random.Random) -> GroupElement:
@@ -125,7 +125,7 @@ def default_witnesses(seed: int = 0, random_count: int = 5) -> tuple[GroupElemen
     return (SHEAR_UPPER, SHEAR_LOWER, SCALE_TWO) + random_witnesses(seed, random_count)
 
 
-def _raising_image(poly: NcPolynomial) -> dict:
+def _raising_image(poly: NcPolynomial) -> NcPolynomial:
     """The raising shear N_+ applied to poly's coefficients, zero terms
     dropped: ints stay ints, Fractions stay Fractions.
 
@@ -135,22 +135,19 @@ def _raising_image(poly: NcPolynomial) -> dict:
     t, M[k][k+1] = binom(d-k,1) t = (d-k) t.  So N_+ is the derivation
     a_k -> (d-k) a_(k+1): a word maps to at most m words, with integer weights.
 
-    Each word is packed into one integer as restitution packs it, first
-    letter highest, so raising letter i adds its place value; a letter below
-    d never carries into the next.  Only the nonzero survivors are unpacked.
+    Raising the letter at a position adds that position's place value to
+    the packed word; a letter below d never carries into the next.
     """
     d, m = poly.d, poly.m
-    width = _letter_width(d)
-    place = [1 << (8 * width * (m - 1 - i)) for i in range(m)]
+    letters, places = _letters(d, m), _places(d, m)
     image = {}
     get = image.get
-    for word, c in poly.terms.items():
-        key = int.from_bytes(bytes(word), "big") if width == 1 else sum(map(mul, word, place))
-        for at, k in zip(place, word):
+    for key, c in poly._packed.items():
+        for at, k in zip(places, letters(key)):
             if k < d:
                 new = key + at
                 image[new] = get(new, 0) + c * (d - k)
-    return _unpack(d, m, image, 1).terms
+    return _nonzero(d, m, image)
 
 
 def is_invariant(poly: NcPolynomial, witnesses=None) -> bool:
@@ -176,7 +173,7 @@ def is_invariant(poly: NcPolynomial, witnesses=None) -> bool:
     With witnesses: True iff act(g, poly) == poly exactly for every witness g.
     """
     if witnesses is None:
-        md = poly.m * poly.d
-        return (all(2 * sum(word) == md for word in poly.terms)
-                and not _raising_image(poly))
+        md, letters = poly.m * poly.d, _letters(poly.d, poly.m)
+        return (all(2 * sum(letters(key)) == md for key in poly._packed)
+                and _raising_image(poly).is_zero())
     return all(act(g, poly) == poly for g in witnesses)

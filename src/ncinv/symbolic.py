@@ -1,42 +1,73 @@
 """Noncommutative polynomials in a_0..a_d and the symbol/restitution map.
 
-Words are tuples of letter indices (0-based, length m); coefficients are
-ints, or Fractions where a rational input or a division makes one.
-Restitution's inner loop packs a word into one integer, a fixed number of
-bytes per letter (``_letter_width``), and so does the N_+ certificate in
-``group_action``; ``_unpack`` turns the packed terms back into words.
+A word is a tuple of letter indices (0-based, length m); coefficients are
+ints, or Fractions where a rational input or a division makes one.  An
+``NcPolynomial`` stores each word packed into one integer, a fixed number of
+bytes per letter, first letter highest (``_places`` gives the place values,
+``_letters`` decodes a key): restitution builds these keys, the N_+
+certificate in ``group_action`` raises a letter by adding its place value,
+and printing sorts them.  ``terms``, the dict of tuple words, is a decoded
+view, built on first use and never changed.
 
 The letter order a_d > a_(d-1) > ... > a_0 makes the lexicographically
 greatest word of a polynomial its leading term, which is how linear
 independence of the noncrossing basis is certified: the leading word of the
 restitution of a noncrossing pairing counts, interval by interval, the
 chords leaving that interval to the right, and distinct noncrossing
-pairings give distinct counts.  ``iter_noncrossing_basis`` yields the basis
-one element at a time, in sorted chord order, so a caller that prints or
-checks each element in turn holds only one polynomial.
+pairings give distinct counts.  Packed keys are big-endian and of fixed
+width, so their integer order is this word order.  ``iter_noncrossing_basis``
+yields the basis one element at a time, in sorted chord order, so a caller
+that prints or checks each element in turn holds only one polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 
 from ._rational import exact
 from ._value import Value
 from .brackets import BracketExpression, BracketMonomial, _iter_nc_matchings, window_of
 
 
+def _letter_bits(d: int) -> int:
+    """Bits per letter of a packed word: as few whole bytes as hold d."""
+    return 8 * max(1, (d.bit_length() + 7) // 8)
+
+
+def _places(d: int, m: int) -> list[int]:
+    """The place value of each of the m letters of a packed word, first
+    letter highest."""
+    bits = _letter_bits(d)
+    return [1 << (bits * (m - 1 - i)) for i in range(m)]
+
+
+def _letters(d: int, m: int):
+    """The decoder of packed words of length m over letters 0..d: key -> its
+    letters, as bytes while a letter fits one byte, else as a list."""
+    bits = _letter_bits(d)
+    if bits == 8:
+        return lambda key: key.to_bytes(m, "big")
+    mask = (1 << bits) - 1
+    shifts = range(bits * (m - 1), -1, -bits)
+    return lambda key: [key >> s & mask for s in shifts]
+
+
 class NcPolynomial(Value):
     """A homogeneous noncommutative polynomial: words of length m over
-    letters 0..d with int or Fraction coefficients; zero coefficients dropped."""
+    letters 0..d with int or Fraction coefficients; zero coefficients
+    dropped.  Stored as ``_packed``, {packed word: coefficient}."""
 
-    _fields = ("d", "m", "terms")
-    __hash__ = None  # terms is a dict
+    _fields = ("d", "m", "_packed")
+    __hash__ = None  # _packed is a dict
 
     def __init__(self, d: int, m: int, terms=None):
         if d < 0 or m < 0:
             raise ValueError("d and m must be nonnegative")
-        clean = {}
+        places = _places(d, m)
+        packed = {}
         for word, coeff in (terms or {}).items():
             word = tuple(word)
             if len(word) != m:
@@ -45,87 +76,81 @@ class NcPolynomial(Value):
                 raise ValueError(f"letter out of range 0..{d} in {word}")
             c = exact(coeff, "coefficient")
             if c:
-                clean[word] = c
-        self._store(d, m, clean)
+                packed[sum(map(mul, word, places))] = c
+        self._store(d, m, packed)
+
+    @cached_property
+    def terms(self) -> dict[tuple[int, ...], int | Fraction]:
+        """{word: coefficient}, decoded from ``_packed``."""
+        letters = _letters(self.d, self.m)
+        return {tuple(letters(key)): c for key, c in self._packed.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __add__(self, other: "NcPolynomial") -> "NcPolynomial":
         if (self.d, self.m) != (other.d, other.m):
             raise ValueError("mismatched degree or word length")
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, 0) + coeff
-        return NcPolynomial(self.d, self.m, terms)
+        packed = dict(self._packed)
+        for key, coeff in other._packed.items():
+            packed[key] = packed.get(key, 0) + coeff
+        return _nonzero(self.d, self.m, packed)
 
     def __sub__(self, other: "NcPolynomial") -> "NcPolynomial":
         return self + (-1) * other
 
     def __mul__(self, scalar) -> "NcPolynomial":
         c = exact(scalar, "scalar")
-        return NcPolynomial(self.d, self.m, {w: c * v for w, v in self.terms.items()})
+        return _nonzero(self.d, self.m, {key: c * v for key, v in self._packed.items()})
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"NcPolynomial(d={self.d}, m={self.m}, {self.pretty()!r})"
 
+    def _leading_first(self):
+        """(word, coefficient) pairs, leading word first: the keys in
+        reverse integer order, each decoded once."""
+        letters, packed = _letters(self.d, self.m), self._packed
+        return [(letters(key), packed[key]) for key in sorted(packed, reverse=True)]
+
     def pretty(self) -> str:
         """Human-readable form, leading term first, e.g. 'a1·a0 - a0·a1'."""
-        if not self.terms:
+        if not self._packed:
             return "0"
-        letters = [f"a{k}" for k in range(self.d + 1)]
+        names = [f"a{k}" for k in range(self.d + 1)]
         parts = []
-        for word in sorted(self.terms, reverse=True):
-            coeff = self.terms[word]
-            num, den = coeff.numerator, coeff.denominator
-            negative = num < 0
-            if negative:
-                num = -num
-            mag = str(num) if den == 1 else f"{num}/{den}"
-            if not word:
-                body = mag
-            else:
-                monom = "·".join([letters[k] for k in word])
-                body = monom if mag == "1" else f"{mag}·{monom}"
-            if parts:
-                parts.append(f"- {body}" if negative else f"+ {body}")
-            else:
-                parts.append(f"-{body}" if negative else body)
-        return " ".join(parts)
+        for word, coeff in self._leading_first():
+            mag, monom = str(abs(coeff)), "·".join([names[k] for k in word])
+            body = mag if not word else monom if mag == "1" else f"{mag}·{monom}"
+            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else f"-{text[2:]}"
 
     def to_json(self) -> str:
-        """The text of json.dumps(self.to_json_dict()), built one term at a
-        time with no dict per term: words and coefficients hold nothing to
-        escape."""
+        """The JSON object {"d": d, "m": m, "terms": [{"word": [...],
+        "coeff": "p/q"}, ...]}, leading word first, as json.dumps spaces it,
+        built one term at a time with no dict per term: words and
+        coefficients hold nothing to escape."""
         digits = [str(k) for k in range(self.d + 1)]
         terms = ", ".join([f'{{"word": [{", ".join([digits[k] for k in word])}], '
-                           f'"coeff": "{self.terms[word]}"}}'
-                           for word in sorted(self.terms, reverse=True)])
+                           f'"coeff": "{coeff}"}}' for word, coeff in self._leading_first()])
         return f'{{"d": {self.d}, "m": {self.m}, "terms": [{terms}]}}'
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "m": self.m,
-            "terms": [
-                {"word": list(word), "coeff": str(self.terms[word])}
-                for word in sorted(self.terms, reverse=True)
-            ],
-        }
+
+def _nonzero(d: int, m: int, packed: dict) -> NcPolynomial:
+    """The polynomial of packed words that the package built, zero terms dropped."""
+    return NcPolynomial._trusted(d, m, {key: c for key, c in packed.items() if c})
 
 
 def _expand(b: BracketMonomial) -> dict[int, int]:
     """The integer expansion of one bracket product (see ``restitution``),
-    keyed by words packed into integers: _letter_width(d) bytes per letter,
-    first letter highest.
+    keyed by packed words (``_places``), zero terms kept.
 
     A letter counts the eta_1 factors taken from its symbol, at most d, so
     adding a place value never carries into the next letter.
     """
-    bits = 8 * _letter_width(b.d)
-    place = [1 << (bits * (b.m - 1 - i)) for i in range(b.m)]
+    place = _places(b.d, b.m)
     profiles = {0: b.sign}
     for p, q in b.chords:
         # eta_1 from the symbol of p with sign +, or from that of q with sign -.
@@ -138,24 +163,6 @@ def _expand(b: BracketMonomial) -> dict[int, int]:
             nxt[minus] = get(minus, 0) - coeff
         profiles = nxt
     return profiles
-
-
-def _letter_width(d: int) -> int:
-    return max(1, (d.bit_length() + 7) // 8)
-
-
-def _unpack(d: int, m: int, profiles: dict[int, int], denominator: int) -> NcPolynomial:
-    """The polynomial with coefficient c / denominator (int c if that is 1) on each word."""
-    width = _letter_width(d)
-    size = width * m
-    terms = {}
-    for key, c in profiles.items():
-        if c:
-            raw = key.to_bytes(size, "big")
-            word = tuple(raw) if width == 1 else tuple(
-                int.from_bytes(raw[i:i + width], "big") for i in range(0, size, width))
-            terms[word] = c if denominator == 1 else Fraction(c, denominator)
-    return NcPolynomial._trusted(d, m, terms)  # valid words, nonzero coefficients
 
 
 def restitution(b) -> NcPolynomial:
@@ -175,16 +182,18 @@ def restitution(b) -> NcPolynomial:
             scale = coeff.numerator * (denominator // coeff.denominator)
             for key, c in _expand(mono).items():
                 total[key] = get(key, 0) + scale * c
-        return _unpack(b.d, b.m, total, denominator)
-    return _unpack(b.d, b.m, _expand(b), 1)
+        if denominator > 1:
+            total = {key: Fraction(c, denominator) for key, c in total.items()}
+        return _nonzero(b.d, b.m, total)
+    return _nonzero(b.d, b.m, _expand(b))
 
 
 def leading_term(poly: NcPolynomial) -> tuple[int, ...]:
     """The lexicographically greatest word with nonzero coefficient
     (letters ordered a_d > a_(d-1) > ... > a_0)."""
-    if not poly.terms:
+    if not poly._packed:
         raise ValueError("zero polynomial has no leading term")
-    return max(poly.terms)
+    return tuple(_letters(poly.d, poly.m)(max(poly._packed)))
 
 
 def predicted_leading_word(b: BracketMonomial) -> tuple[int, ...]:

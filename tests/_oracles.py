@@ -314,3 +314,32 @@ def tuple_raising_image(poly) -> dict:
                 new = word[:i] + (k + 1,) + word[i + 1:]
                 image[new] = image.get(new, 0) + c * (d - k)
     return {word: c for word, c in image.items() if c}
+
+
+def tuple_act(rows, poly) -> dict:
+    """``poly.terms`` with each letter a_k replaced by sum_j rows[k][j] a_j,
+    one word position at a time on tuple words, zero terms dropped: the loop
+    ``group_action.act`` ran before it worked on packed words.  For the
+    action of g, ``rows`` is M_d(g^-1)."""
+    terms = dict(poly.terms)
+    for pos in range(poly.m):
+        image = {}
+        for word, c in terms.items():
+            for j, weight in enumerate(rows[word[pos]]):
+                if weight:
+                    new = word[:pos] + (j,) + word[pos + 1:]
+                    image[new] = image.get(new, 0) + weight * c
+        terms = {word: c for word, c in image.items() if c}
+    return terms
+
+
+def poly_json_dict(poly) -> dict:
+    """An NcPolynomial as the dict whose ``json.dumps`` text
+    ``NcPolynomial.to_json`` builds by hand: terms leading word first, each
+    coefficient a string."""
+    return {
+        "d": poly.d,
+        "m": poly.m,
+        "terms": [{"word": list(word), "coeff": str(poly.terms[word])}
+                  for word in sorted(poly.terms, reverse=True)],
+    }

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,8 @@ from ncinv import group_action, hilbert, symbolic
 from ncinv.cli import main
 from ncinv.partitions import catalan
 from ncinv.symbolic import noncrossing_basis
+
+from _oracles import poly_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -83,7 +86,7 @@ class TestBasis:
         # Written term by term, with no tree built, as json.dumps of the list.
         code, out, _ = run_cli(capsys, "basis", "--d", str(d), "--m", str(m), "--format", "json")
         assert code == 0
-        whole = json.dumps([poly.to_json_dict() for poly in noncrossing_basis(m, d)])
+        whole = json.dumps([poly_json_dict(poly) for poly in noncrossing_basis(m, d)])
         assert out == whole + "\n"
 
 
@@ -92,7 +95,7 @@ class TestStreaming:
 
     @pytest.mark.parametrize("argv, render, head, sep", [
         (["basis"], lambda i, poly: poly.pretty() + "\n", "", ""),
-        (["basis", "--format", "json"], lambda i, poly: json.dumps(poly.to_json_dict()),
+        (["basis", "--format", "json"], lambda i, poly: json.dumps(poly_json_dict(poly)),
          "[", ", "),
         (["verify"], lambda i, poly: f"PASS element {i}: {poly.pretty()}\n", "", ""),
     ], ids=["text", "json", "verify"])
@@ -283,6 +286,20 @@ class TestRewrite:
         assert (code, out) == (2, "")
         assert len(err.encode()) < 200
         assert field in err
+
+    @pytest.mark.parametrize("coeff, slot, field", [
+        ("7" * 4301, "2", "coefficient"),
+        ('"' + "7" * 4301 + '"', "2", "coefficient"),
+        ("1", "7" * 4301, "chord slot"),
+    ], ids=["int-coeff", "str-coeff", "slot"])
+    def test_number_past_the_digit_limit_exit_2(self, capsys, tmp_path, coeff, slot, field):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"m": 2, "d": 1, "terms": [{{"coeff": {coeff}, '
+                        f'"chords": [[1, {slot}]]}}]}}', encoding="utf-8")
+        code, out, err = run_cli(capsys, "rewrite", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field} has more than 4300 digits in a row, got '")
+        assert len(err.encode()) < 200
 
     def test_deep_nesting_exit_2(self, tmp_path):
         # json.load recurses once per level; run as a subprocess so that an
@@ -521,6 +538,36 @@ class TestMoments:
         assert (code, out) == (2, "")
         assert len(err.encode()) < 200
         assert field in err
+
+    def test_result_past_the_int_to_text_limit(self, capsys):
+        # m_4 = 2 c_2^2 has 6001 digits, past CPython's 4300-digit limit on
+        # int-to-text conversion, which main lifts for the command only.
+        sevens = "7" * 3000
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "moments", "--rule", f"table:[0,{sevens}]", "--n", "4")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "747a92b7d79c47ab6c1b684f0977e509f9a89724bf803a05991625d218a0713b")
+        head, m4 = out[:-1].rsplit(",", 1)
+        want = 2 * int(sevens) ** 2
+        assert head == f"1,0,{sevens},0" and len(m4) == 6001
+        assert int(m4[:99]) == want // 10 ** 5902 and int(m4[-99:]) == want % 10 ** 99
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_runs_where_python_has_no_digit_limit(self, capsys, monkeypatch):
+        # CPython before 3.10.7 has neither the limit nor its API.
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        code, out, _ = run_cli(capsys, "moments", "--rule", "semicircle", "--n", "4")
+        assert (code, out) == (0, "1,0,1,0,2\n")
+
+    @pytest.mark.parametrize("entry", ["{}", "1/{}", "0.{}"])
+    def test_entry_past_the_digit_limit_exit_2(self, capsys, entry):
+        rule = "table:[0," + entry.format("7" * 4301) + "]"
+        code, out, err = run_cli(capsys, "moments", "--rule", rule, "--n", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cumulant has more than 4300 digits in a row, got '")
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("rule, want", [
         ("free-poisson", lambda k: catalan(k)),

@@ -25,7 +25,7 @@ from ncinv.group_action import (
 )
 from ncinv.symbolic import NcPolynomial, leading_term, noncrossing_basis
 
-from _oracles import apply, identity, matmul, tuple_raising_image
+from _oracles import apply, identity, matmul, tuple_act, tuple_raising_image
 
 IDENTITY = GroupElement(1, 0, 0, 1)
 
@@ -195,6 +195,73 @@ class TestAct:
         assert act(SCALE_TWO, poly) == poly
 
 
+def random_words_polys(rng, d, m):
+    """Seeded polynomials with one to five words over letters that include
+    both ends and, where d allows, the byte boundary 255/256; int and
+    Fraction coefficients.  Almost none is invariant."""
+    letters = sorted({k for k in (0, 1, d // 2, d - 1, d, 255, 256) if 0 <= k <= d})
+    polys = []
+    for _ in range(8):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            word = tuple(rng.choice(letters) for _ in range(m))
+            terms[word] = (rng.randint(-3, 3) if rng.random() < 0.5
+                           else Fraction(rng.randint(-5, 5), rng.randint(2, 4)))
+        polys.append(NcPolynomial(d, m, terms))
+    return polys
+
+
+def sparse_rows(rng, d, fractions):
+    """A seeded (d+1) x (d+1) matrix with at most three nonzero entries per
+    row (its diagonal one, one at 0, 1, 255, 256 or d, one anywhere): ints,
+    or Fractions if ``fractions``."""
+    ends = [j for j in (0, 1, 255, 256, d) if j <= d]
+    rows = []
+    for k in range(d + 1):
+        row = [0] * (d + 1)
+        for j in {k, rng.choice(ends), rng.randint(0, d)}:
+            p = rng.randint(-3, 3)
+            row[j] = Fraction(p, rng.choice((1, 2, 3))) if fractions else p
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+class TestPackedAct:
+    """act works on packed words; the tuple substitution it replaced is the
+    oracle, coefficient types included."""
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 255, 256])
+    def test_matches_tuple_act(self, monkeypatch, d, m):
+        rng = random.Random(1000 * d + m)
+        if d < 4:
+            witnesses = (GroupElement(7, 2, 3, 1), SHEAR_LOWER, SCALE_TWO,
+                         *random_witnesses(d, 2))
+            cases = [(g, sym_power(g.inverse(), d)) for g in witnesses]
+            polys = random_words_polys(rng, d, m) + (noncrossing_basis(m, d) if m * d < 8 else [])
+        else:
+            # sym_power takes seconds at d = 256 (O(d^3) exact products), so
+            # seeded sparse int and Fraction rows stand in for M_d(g^-1):
+            # act substitutes whatever rows it is given.
+            cases = [(SHEAR_UPPER, sparse_rows(rng, d, fractions)) for fractions in (False, True)]
+            polys = random_words_polys(rng, d, m)
+        for g, rows in cases:
+            monkeypatch.setattr("ncinv.group_action.sym_power", lambda _g, _d, rows=rows: rows)
+            for poly in polys:
+                image = act(g, poly).terms
+                want = tuple_act(rows, poly)
+                assert {w: (c, type(c)) for w, c in image.items()} == {
+                    w: (c, type(c)) for w, c in want.items()}
+
+    def test_integer_witness_on_a_non_invariant_input(self):
+        # Unpatched: the real rows of an integer witness keep int coefficients.
+        g = GroupElement(7, 2, 3, 1)
+        poly = NcPolynomial(3, 3, {(3, 0, 1): 2, (0, 0, 0): -1, (1, 2, 3): 5})
+        image = act(g, poly)
+        assert image.terms == tuple_act(sym_power(g.inverse(), 3), poly)
+        assert image != poly and all(type(c) is int for c in image.terms.values())
+
+
 class TestIsInvariant:
     def test_basis_elements_invariant(self):
         for m, d in md_pairs(8):
@@ -277,7 +344,7 @@ class TestCertificate:
         # act substitutes rows of M_d(g^-1); the derivation must be its log.
         log = matrix_log(sym_power(SHEAR_UPPER.inverse(), d))
         for k in range(d + 1):
-            image = _raising_image(NcPolynomial(d, 1, {(k,): 1}))
+            image = _raising_image(NcPolynomial(d, 1, {(k,): 1})).terms
             assert image == {(j,): log[k][j] for j in range(d + 1) if log[k][j]}
 
     @given(st.data(),
@@ -291,22 +358,22 @@ class TestCertificate:
         assert is_invariant(poly) == expected
         if invariant:
             assert expected
-        assert _raising_image(poly) == upper_shear_log(poly).terms
+        assert _raising_image(poly) == upper_shear_log(poly)
 
     def test_image_of_fraction_coefficients_is_plain(self):
         # N_+: a_k -> (d-k) a_(k+1) on each letter, with no rescaling.
         poly = NcPolynomial(2, 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(-3, 4), (2, 2): 5})
-        image = _raising_image(poly)
+        image = _raising_image(poly).terms
         assert image == {(1, 1): Fraction(2, 3) - Fraction(3, 2), (0, 2): Fraction(1, 3),
                          (2, 0): Fraction(-3, 4)}
-        assert _raising_image(NcPolynomial(2, 2, {(0, 0): Fraction(1, 2)})) == {
+        assert _raising_image(NcPolynomial(2, 2, {(0, 0): Fraction(1, 2)})).terms == {
             (1, 0): 1, (0, 1): 1}
 
     @pytest.mark.parametrize("d", [1, 2, 3, 255, 256])
     def test_packed_image_matches_tuple_oracle(self, d):
-        # Words are packed _letter_width(d) bytes per letter: d = 255 fills
-        # one byte, and at d = 256 raising 255 carries inside a two-byte
-        # letter but never into the next one.
+        # A letter takes one byte of the packed word up to d = 255, which
+        # fills it; at d = 256 raising 255 carries inside a two-byte letter
+        # but never into the next one.
         rng = random.Random(d)
         letters = sorted({k for k in (0, 1, d // 2, d - 1, d, 254, 255) if k <= d})
         polys = [poly for m in ((2, 4) if d < 4 else (2,)) for poly in noncrossing_basis(m, d)]
@@ -320,7 +387,7 @@ class TestCertificate:
                 polys.append(NcPolynomial(d, m, terms))
         raised = 0
         for poly in polys:
-            image = _raising_image(poly)
+            image = _raising_image(poly).terms
             assert image == tuple_raising_image(poly)
             assert all(c and type(c) in (int, Fraction) for c in image.values())
             raised += bool(image) and any(isinstance(c, Fraction) for c in poly.terms.values())
@@ -332,7 +399,7 @@ class TestCertificate:
         # md is not md/2: only the weight check rejects it.  For odd md no
         # word has letter sum md/2, so every nonzero polynomial is rejected.
         top = NcPolynomial(d, m, {(d,) * m: 1})
-        assert _raising_image(top) == {}
+        assert _raising_image(top).is_zero()
         assert not is_invariant(top)
         assert not is_invariant(top, (SHEAR_UPPER, SHEAR_LOWER))
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncinv._rational import exact, parse_rational
-from ncinv.brackets import BracketExpression, json_rational
+from ncinv._rational import MAX_DIGITS, exact, parse_rational
+from ncinv.brackets import BracketExpression, json_int, json_integer, json_rational
 from ncinv.freeprob import MomentSequence
 from ncinv.symbolic import NcPolynomial
 
@@ -49,3 +49,29 @@ def test_constructors_refuse_exponents_naming_the_field(build, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, p/q or a plain decimal"):
         build("1e3")
     assert build("-2/4") == build(Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("template", ["{}", "-{}", "1/{}", "{}/7", "0.{}", "{}.5"])
+def test_digit_runs_past_the_limit_are_refused_naming_the_field(template):
+    # Reading decimal text is quadratic in its length; CPython's default
+    # int() limit is 4300 digits, and the command line lifts that limit.
+    assert MAX_DIGITS == 4300
+    assert parse_rational(template.format("7" * MAX_DIGITS), "entry")
+    with pytest.raises(ValueError, match="^entry has more than 4300 digits in a row, got '"):
+        parse_rational(template.format("7" * (MAX_DIGITS + 1)), "entry")
+
+
+def test_long_fraction_with_short_runs_is_read():
+    assert parse_rational(f"{'7' * 3000}/{'3' * 3000}", "entry") == Fraction(
+        int("7" * 3000), int("3" * 3000))
+
+
+def test_json_integers_past_the_limit_are_refused_by_their_field():
+    assert json_integer("-12") == -12 and type(json_integer("3")) is int
+    assert json_int(json_integer("-" + "7" * MAX_DIGITS), "sign") == -int("7" * MAX_DIGITS)
+    with pytest.raises(ValueError, match="^chord slot has more than 4300 digits in a row"):
+        json_int(json_integer("7" * (MAX_DIGITS + 1)), "chord slot")
+    with pytest.raises(ValueError, match="^coefficient has more than 4300 digits in a row"):
+        json_rational(json_integer("7" * (MAX_DIGITS + 1)), "coefficient")
+    with pytest.raises(ValueError, match="^sign must be an integer, got '12'"):
+        json_int("12", "sign")

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import comb
 
@@ -14,6 +15,8 @@ from ncinv.symbolic import (
     predicted_leading_word,
     restitution,
 )
+
+from _oracles import poly_json_dict
 
 
 def nested_pairing(d):
@@ -37,6 +40,16 @@ class TestNcPolynomial:
             NcPolynomial(2, 2, {(1,): 1})
         with pytest.raises(ValueError):
             NcPolynomial(2, 2, {(3, 0): 1})
+
+    @pytest.mark.parametrize("d", [255, 256, 70000])
+    def test_terms_round_trip_past_one_byte(self, d):
+        # Words are stored packed; terms decodes them to the tuples given.
+        t = {(d, 0, d - 1): 3, (0, d, 1): Fraction(-1, 2), (255, 255, d): 1, (1, 0, 0): -4,
+             (0, 0, 0): 7}
+        p = NcPolynomial(d, 3, t)
+        assert p.terms == t
+        assert NcPolynomial(d, 3, p.terms) == p
+        assert NcPolynomial(d, 0, {(): 2}).terms == {(): 2}
 
     def test_zero_coefficients_dropped(self):
         p = NcPolynomial(1, 2, {(0, 1): 0, (1, 0): 1})
@@ -69,20 +82,22 @@ class TestNcPolynomial:
         assert NcPolynomial(d, m, terms).pretty() == text
 
     @staticmethod
-    def read_json(data):
+    def read_json(p):
         # The output shape of ``basis --format json``, read back by hand.
+        data = json.loads(p.to_json())
+        assert data == poly_json_dict(p)
         terms = {tuple(t["word"]): Fraction(t["coeff"]) for t in data["terms"]}
         assert list(terms) == sorted(terms, reverse=True)
         return NcPolynomial(data["d"], data["m"], terms)
 
     def test_json_round_trip(self):
         p = NcPolynomial(2, 2, {(2, 0): Fraction(1, 3), (0, 2): -1})
-        assert self.read_json(p.to_json_dict()) == p
+        assert self.read_json(p) == p
 
     @pytest.mark.parametrize("m, d", [(0, 3), (2, 1), (4, 2), (3, 4)])
     def test_json_round_trip_of_basis(self, m, d):
         for p in noncrossing_basis(m, d):
-            assert self.read_json(p.to_json_dict()) == p
+            assert self.read_json(p) == p
 
 
 class TestRestitution:
@@ -202,6 +217,14 @@ class TestLeadingTerm:
     def test_zero_raises(self):
         with pytest.raises(ValueError):
             leading_term(NcPolynomial(1, 1, {}))
+
+    def test_word_order_across_the_byte_boundary(self):
+        # At d = 256 a letter takes two bytes of the packed word: (1, 0)
+        # still ranks above (0, 256), and (1, 0) above (0, 255).
+        p = NcPolynomial(256, 2, {(0, 256): 5, (1, 0): -1, (0, 255): 2})
+        assert leading_term(p) == (1, 0)
+        assert p.pretty() == "-a1·a0 + 5·a0·a256 + 2·a0·a255"
+        assert leading_term(NcPolynomial(256, 2, {(0, 256): 1, (0, 255): 1})) == (0, 256)
 
     def test_predicted_needs_noncrossing(self):
         with pytest.raises(ValueError):
